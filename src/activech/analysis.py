@@ -18,7 +18,7 @@ from .errors import ConfigurationError, MeasurementError, TrackingError
 from .mesh import NodalField, StructuredMesh, build_mesh
 from .model import PhaseFieldParams, derive_sharp_params
 from .planar import PlanarConfig, integrate_q
-from .solver import SolverConfig, Stepper
+from .solver import SolverConfig, Stepper, max_mesh_size
 from .initial import init_field
 
 
@@ -195,14 +195,16 @@ def growth_window(times, amplitudes, width_Lt: float,
 def auto_mesh_size(epsilon: float) -> float:
     """Fine mesh size for epsilon = 1/(2^k pi): h = 2^-(3+k).
 
-    This keeps 2^(3+k) cells per unit length, matching the resolution used
-    for the reference experiments; other epsilon values need an explicit h.
+    This is the power of two equal to ``max_mesh_size(epsilon)``, the
+    coarsest mesh the solver accepts without a ResolutionWarning, and the
+    resolution used for the reference experiments; other epsilon values
+    need an explicit h.
     """
     k = math.log2(1.0 / (math.pi * epsilon))
     if abs(k - round(k)) > 1e-9:
         raise ConfigurationError(
             f"epsilon={epsilon!r} is not of the form 1/(2^k pi); give h explicitly")
-    return 2.0 ** -(3 + round(k))
+    return 2.0 ** round(math.log2(max_mesh_size(epsilon)))
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,10 @@ class PhaseFieldParams:
     mobility: MobilitySpec
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
-        if self.epsilon <= 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("beta", "epsilon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

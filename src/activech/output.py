@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import solver
 from .errors import ConfigurationError, NumericalError
 from .mesh import StructuredMesh
 
@@ -243,7 +244,7 @@ class RunWriter:
         self._manifest["newton_iterations"] = record.newton_iters
         self._manifest["checks"] = {
             "max_abs_phi": record.max_abs_phi,
-            "bounded": record.max_abs_phi <= 1.1,
+            "bounded": record.max_abs_phi <= solver.PHI_BOUND_WARN,
             "wall_seconds": record.wall_seconds,
         }
         self._manifest["warnings"] = record.warnings

@@ -92,6 +92,11 @@ def test_simulate_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
+def test_simulate_nonfinite_parameter_exit_code(tmp_path):
+    cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", cfg, "--set", "physics.beta=nan"]) == 1
+
+
 def test_sharp_ode_stationary_is_constant(tmp_path):
     out = tmp_path / "ode.csv"
     code = main(["sharp-ode", "--beta", "0.1", "--splus", "-1", "--sminus", "1",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import activech as ac
+from activech import solver
 from activech.output import (
     OutputOptions,
     diagnostics_csv_text,
@@ -169,6 +170,24 @@ def test_manifest_written_before_compute_and_on_crash(tmp_path, quartic):
                           0.02, outputs=opts)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["end_time"] is None
+
+
+def test_manifest_bounded_follows_phi_bound(tmp_path, quartic, monkeypatch):
+    p = small_params(quartic)
+
+    def bounded(limit):
+        monkeypatch.setattr(solver, "PHI_BOUND_WARN", limit)
+        out = tmp_path / f"run_{limit}"
+        opts = OutputOptions(directory=str(out), stride=10, vtk=False, checkpoint=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            record = ac.run_simulation(p, (1, (1.0,), 1 / 32), ("flat_front", {"q0": 0.3}),
+                                       ac.SolverConfig(), 0.01, outputs=opts)
+        assert 0.5 < record.max_abs_phi < 1.1
+        return json.loads((out / "manifest.json").read_text())["checks"]["bounded"]
+
+    assert bounded(1.1) is True
+    assert bounded(0.5) is False
 
 
 def test_deterministic_diagnostics_bytes(tmp_path, quartic):

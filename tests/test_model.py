@@ -226,6 +226,12 @@ def test_derive_sharp_zero_rho_flagged(quartic):
         sharp.require_planar()
 
 
+@pytest.mark.parametrize("field, value", [("beta", math.nan), ("epsilon", math.inf)])
+def test_params_reject_nonfinite(quartic, field, value):
+    with pytest.raises(ac.ConfigurationError, match=field):
+        _params(quartic, **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # gamma quadrature
 # ---------------------------------------------------------------------------

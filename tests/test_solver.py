@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import activech as ac
+from activech import solver
 from activech.solver import PHI_BOUND_WARN, Stepper
 
 SQRT2 = math.sqrt(2.0)
@@ -218,6 +220,54 @@ def test_resolution_warning(quartic):
     mesh = ac.build_mesh(1, (1.0,), 1 / 16)  # h=0.0625 > eps*sqrt(2)/4
     with pytest.warns(ac.ResolutionWarning):
         Stepper(mesh, p, ac.SolverConfig())
+
+
+def test_auto_mesh_size_is_resolved(quartic):
+    eps = 1 / (8 * math.pi)
+    p = make_params(quartic, epsilon=eps)
+    mesh = ac.build_mesh(2, (1.0, 1.0), ac.auto_mesh_size(eps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ac.ResolutionWarning)
+        Stepper(mesh, p, ac.SolverConfig())
+
+
+@pytest.mark.parametrize("field", ["tau", "newton_tol", "linear_tol"])
+def test_solver_config_rejects_nonfinite(field):
+    with pytest.raises(ac.ConfigurationError, match=field):
+        ac.SolverConfig(**{field: math.nan})
+
+
+def test_singular_schur_raises_numerical_error(quartic):
+    mesh = ac.build_mesh(1, (1.0,), 1 / 8)
+    stepper = Stepper(mesh, make_params(quartic), ac.SolverConfig())
+    n = mesh.n_nodes
+    S = sparse.csc_matrix((n, n))
+    with pytest.raises(ac.NumericalError, match=f"{n}x{n}"):
+        stepper._solve(S, np.ones(n))
+
+
+def test_schur_lu_ordering_limits_fill(quartic, monkeypatch):
+    # 2D front at 4 225 nodes: COLAMD fills L+U to ~610k nonzeros, minimum
+    # degree on A^T + A to ~427k
+    eps = 1 / (8 * math.pi)
+    p = make_params(quartic, epsilon=eps, s_plus=-1.0, s_minus=1.0,
+                    rho_plus=1.0, rho_minus=1.0, l_coef=0.0)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 2.0 ** -6)
+    fills = []
+    real = solver.splu
+
+    def spy(A, *args, **kwargs):
+        lu = real(A, *args, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(solver, "splu", spy)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    phi = ac.init_field(mesh, "flat_front",
+                        {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}, eps).values
+    _, _, report = stepper.step(phi, stepper.initial_mu(phi))
+    assert fills and fills[0] < 500_000
+    assert report.residuals[-1] < ac.SolverConfig().newton_tol
 
 
 # ---------------------------------------------------------------------------
