@@ -56,9 +56,7 @@ from .solver import (
     SolverConfig,
     Stepper,
     free_energy,
-    make_state,
     run_simulation,
-    time_step,
 )
 from .analysis import (
     ConvergenceRow,

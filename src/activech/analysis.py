@@ -8,18 +8,16 @@ with its experimental order of convergence.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, MeasurementError, TrackingError
-from .mesh import NodalField, StructuredMesh, build_mesh
+from .mesh import NodalField, StructuredMesh
 from .model import PhaseFieldParams, derive_sharp_params
+from .output import OutputOptions
 from .planar import PlanarConfig, integrate_q
-from .solver import SolverConfig, Stepper, max_mesh_size
-from .initial import init_field
+from .solver import SolverConfig, max_mesh_size, run_simulation
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +76,6 @@ def track_interface(field: NodalField, mesh: StructuredMesh, line_x2: float = 0.
             f"{len(crossings)} crossings at {[f'{c:.4f}' for c in crossings]} "
             "and no previous position to disambiguate")
     return min(crossings, key=lambda c: abs(c - prev))
-
-
-# name used by run drivers; identical semantics
-interface_position = track_interface
 
 
 @dataclass
@@ -252,24 +246,6 @@ def reference_front_position(p: PhaseFieldParams, length_L: float, width_Lt: flo
     return float(traj.q[-1])
 
 
-def _front_error_once(p: PhaseFieldParams, epsilon: float, dim: int, lengths,
-                      q0: float, t_end: float, cfg: SolverConfig, h: float | None):
-    from dataclasses import replace
-
-    p_eps = replace(p, epsilon=epsilon)
-    h_eff = auto_mesh_size(epsilon) if h is None else h
-    mesh = build_mesh(dim, lengths[:dim], h_eff)
-    phi0 = init_field(mesh, "flat_front", {"q0": q0}, epsilon)
-    stepper = Stepper(mesh, p_eps, cfg)
-    phi = phi0.values.copy()
-    mu = stepper.initial_mu(phi)
-    n_steps = int(round(t_end / cfg.tau))
-    for n in range(1, n_steps + 1):
-        phi, mu, _ = stepper.step(phi, mu, step_index=n)
-    q_h = track_interface(NodalField(phi, mesh), mesh, line_x2=0.0, prev=q0)
-    return q_h, h_eff
-
-
 def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
                       lengths=(1.0, 1.0), q0: float = 0.3, dim: int = 1,
                       cfg: SolverConfig | None = None, h: float | None = None,
@@ -277,40 +253,40 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
                       ) -> ConvergenceTable:
     """Front-position error against the sharp ODE for a decreasing epsilon ladder.
 
-    The flat-front problem is genuinely one-dimensional, so ``dim=1`` is the
+    Each rung is one :func:`run_simulation` of a flat front at ``q0`` that
+    records only t = 0 and ``t_end``; the rungs run serially.  The
+    flat-front problem is genuinely one-dimensional, so ``dim=1`` is the
     fast default; ``dim=2`` runs the full planar geometry.  Failures of
     individual runs annotate their row instead of aborting the ladder.
+    ``max_workers`` must be ``None`` or 1; any other value raises
+    ConfigurationError.
     """
+    if max_workers not in (None, 1):
+        raise ConfigurationError(
+            f"max_workers must be None or 1 (rungs run serially), got {max_workers!r}")
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) > 1 and any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise ConfigurationError("epsilon ladder must be strictly decreasing")
     cfg = cfg or SolverConfig()
     q_ref = reference_front_position(p, lengths[0], lengths[1] if len(lengths) > 1 else 1.0,
                                      q0, t_end, dt=reference_dt)
-
-    workers = max_workers
-    if workers is None:
-        workers = int(os.environ.get("ACTIVE_CH_THREADS", "1") or 1)
-    results: list[tuple[float, float, str]] = []
-
-    def one(eps: float):
-        try:
-            q_h, h_eff = _front_error_once(p, eps, dim, lengths, q0, t_end, cfg, h)
-            return abs(q_ref - q_h), h_eff, ""
-        except Exception as exc:  # annotate, don't abort the ladder
-            return math.nan, h if h is not None else math.nan, f"{type(exc).__name__}: {exc}"
-
-    if workers > 1 and len(epsilons) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, epsilons))
-    else:
-        results = [one(e) for e in epsilons]
+    outputs = OutputOptions(stride=max(1, int(round(t_end / cfg.tau))))
 
     table = ConvergenceTable()
     prev = None
-    for eps, (err, h_eff, note) in zip(epsilons, results):
-        row = ConvergenceRow(epsilon=eps, h=h_eff, error=err,
-                             eoc=_eoc(prev, eps, err), note=note)
+    for eps in epsilons:
+        err, h_eff, note = math.nan, h, ""
+        try:
+            h_eff = auto_mesh_size(eps) if h is None else h
+            record = run_simulation(replace(p, epsilon=eps), (dim, lengths[:dim], h_eff),
+                                    ("flat_front", {"q0": q0}), cfg, t_end, outputs=outputs)
+            err = abs(q_ref - float(record.q_h[-1]))
+            if math.isnan(err):
+                note = "; ".join(record.warnings)
+        except Exception as exc:  # annotate, don't abort the ladder
+            note = f"{type(exc).__name__}: {exc}"
+        row = ConvergenceRow(epsilon=eps, h=math.nan if h_eff is None else h_eff,
+                             error=err, eoc=_eoc(prev, eps, err), note=note)
         table.rows.append(row)
         prev = row
     return table

@@ -30,6 +30,7 @@ from .model import (
     gamma_quadrature,
     nondimensionalize,
     profile_Phi0,
+    relaxation_rates,
     si_quadrature,
     source_S,
     validate_potential,
@@ -83,12 +84,9 @@ def _physics_flags(sub):
 
 def _params_from_flags(args, epsilon=0.01) -> PhaseFieldParams:
     pot = DoubleWellPotential.quartic()
-    reaction = ReactionSpec(
-        s_plus=args.splus, s_minus=args.sminus,
-        k_plus=args.beta * pot.ddpsi_plus * args.rhoplus,
-        k_minus=args.beta * pot.ddpsi_minus * args.rhominus,
-        l_coef=args.lcoef, r_c=args.rc,
-    )
+    k_plus, k_minus = relaxation_rates(args.beta, pot, args.rhoplus, args.rhominus)
+    reaction = ReactionSpec(s_plus=args.splus, s_minus=args.sminus, k_plus=k_plus,
+                            k_minus=k_minus, l_coef=args.lcoef, r_c=args.rc)
     return PhaseFieldParams(beta=args.beta, epsilon=epsilon, potential=pot,
                             reaction=reaction,
                             mobility=MobilitySpec(args.mplus, args.mminus))
@@ -118,20 +116,24 @@ def _load_config(args):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    p = cfg.phase_field_params()
+def _run_configured(cfg, modes_lmax: int | None):
+    """Simulate a parsed configuration, extracting modes up to ``modes_lmax``."""
     opts = OutputOptions(
         directory=cfg.directory, stride=cfg.stride, vtk=cfg.vtk,
         checkpoint=cfg.checkpoint, track_interface=True,
-        track_line=cfg.track_line, modes_lmax=cfg.modes_lmax,
+        track_line=cfg.track_line, modes_lmax=modes_lmax,
         manifest_extra=cfg.as_manifest_dict(),
     )
-    record = run_simulation(
-        p, (cfg.dim, cfg.lengths, cfg.mesh_size()),
+    return run_simulation(
+        cfg.phase_field_params(), (cfg.dim, cfg.lengths, cfg.mesh_size()),
         (cfg.init_kind, cfg.init_params),
-        SolverConfig(tau=cfg.tau, seed=cfg.seed), cfg.t_end, outputs=opts,
+        SolverConfig(tau=cfg.tau), cfg.t_end, outputs=opts,
     )
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_config(args)
+    record = _run_configured(cfg, cfg.modes_lmax)
     q_final = record.q_h[-1]
     print(f"steps={len(record.newton_iters)} t_end={record.times[-1]:g} "
           f"mass={record.mass[-1]:.9g} energy={record.energy[-1]:.9g} "
@@ -196,7 +198,7 @@ def _cmd_converge(args) -> int:
         p, cfg.converge_epsilons, cfg.t_end, lengths=cfg.lengths if cfg.dim == 2
         else (cfg.lengths[0], cfg.lengths[0]),
         q0=float(q0), dim=cfg.converge_dim,
-        cfg=SolverConfig(tau=cfg.tau, seed=cfg.seed), h=cfg.h,
+        cfg=SolverConfig(tau=cfg.tau), h=cfg.h,
     )
     out_dir = Path(cfg.directory or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,19 +216,7 @@ def _cmd_modes(args) -> int:
     cfg = _load_config(args)
     if cfg.dim != 2:
         raise ConfigurationError("modes requires a 2D configuration")
-    lmax = cfg.modes_lmax if cfg.modes_lmax is not None else 10
-    p = cfg.phase_field_params()
-    opts = OutputOptions(
-        directory=cfg.directory, stride=cfg.stride, vtk=cfg.vtk,
-        checkpoint=cfg.checkpoint, track_interface=True,
-        track_line=cfg.track_line, modes_lmax=lmax,
-        manifest_extra=cfg.as_manifest_dict(),
-    )
-    record = run_simulation(
-        p, (cfg.dim, cfg.lengths, cfg.mesh_size()),
-        (cfg.init_kind, cfg.init_params),
-        SolverConfig(tau=cfg.tau, seed=cfg.seed), cfg.t_end, outputs=opts,
-    )
+    record = _run_configured(cfg, cfg.modes_lmax if cfg.modes_lmax is not None else 10)
     if record.mode_amps is None:
         raise NumericalError("mode extraction produced no data")
     out_dir = Path(cfg.directory or ".")
@@ -234,7 +224,7 @@ def _cmd_modes(args) -> int:
     write_modes_csv(out_dir / "modes.csv", record.times, record.mode_amps)
     finals = np.abs(record.mode_amps[-1, 1:])
     dominant = 1 + int(np.argmax(finals))
-    sharp = derive_sharp_params(p, cfg.lengths[0], cfg.lengths[1])
+    sharp = derive_sharp_params(cfg.phase_field_params(), cfg.lengths[0], cfg.lengths[1])
     q_for_rate = record.q_h[0] if math.isfinite(record.q_h[0]) else cfg.lengths[0] / 2
     predicted = amplification(sharp, cfg.beta, q_for_rate, ModeIndex.of(dominant)).growth_rate
     amps = np.abs(record.mode_amps[:, dominant])

@@ -20,6 +20,7 @@ from .model import (
     MobilitySpec,
     PhaseFieldParams,
     ReactionSpec,
+    relaxation_rates,
 )
 
 _EPS_SYMBOLIC = re.compile(r"^\s*1\s*/\s*\(\s*([0-9]*\.?[0-9]+)\s*\*\s*pi\s*\)\s*$")
@@ -205,9 +206,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     s_plus = float(_parse_scalar(_get(sections, "physics", "s_plus", required=True)))
     s_minus = float(_parse_scalar(_get(sections, "physics", "s_minus", required=True)))
     potential = str(_get(sections, "physics", "potential", "quartic")).strip()
-    if potential != "quartic":
-        raise ConfigurationError(f"[physics] potential: unsupported kind {potential!r}")
-    pot = DoubleWellPotential.quartic()
+    pot = DoubleWellPotential.quartic()  # other kinds: rejected by make_potential below
 
     has_rho = "rho_plus" in phys or "rho_minus" in phys
     has_k = "k_plus" in phys or "k_minus" in phys
@@ -222,8 +221,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     else:
         rho_plus = float(_parse_scalar(_get(sections, "physics", "rho_plus", "1")))
         rho_minus = float(_parse_scalar(_get(sections, "physics", "rho_minus", "1")))
-        k_plus = beta * pot.ddpsi_plus * rho_plus
-        k_minus = beta * pot.ddpsi_minus * rho_minus
+        k_plus, k_minus = relaxation_rates(beta, pot, rho_plus, rho_minus)
     l_coef = float(_parse_scalar(_get(sections, "physics", "l_coef", "0")))
     r_c = float(_parse_scalar(_get(sections, "physics", "r_c", "1")))
     m_plus = float(_parse_scalar(_get(sections, "physics", "m_plus", "1")))

@@ -27,6 +27,15 @@ GAMMA_QUARTIC = 2.0 * SQRT2 / 3.0
 # parameter objects
 # ---------------------------------------------------------------------------
 
+def _require_finite(spec, names, positive: bool = False):
+    """Raise ConfigurationError unless each named field is finite (and > 0)."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            requirement = "positive and finite" if positive else "finite"
+            raise ConfigurationError(f"{name} must be {requirement}, got {value}")
+
+
 @dataclass(frozen=True)
 class DoubleWellPotential:
     """Even double-well energy density with minima at +-1.
@@ -76,6 +85,7 @@ class ReactionSpec:
     r_c: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("s_plus", "s_minus", "k_plus", "k_minus", "l_coef", "r_c"))
         if not (0.0 < self.r_c <= 1.0):
             raise ConfigurationError(f"r_c must lie in (0, 1], got {self.r_c}")
 
@@ -88,8 +98,7 @@ class MobilitySpec:
     m_minus: float
 
     def __post_init__(self):
-        if self.m_plus <= 0.0 or self.m_minus <= 0.0:
-            raise ConfigurationError("mobilities must be positive")
+        _require_finite(self, ("m_plus", "m_minus"), positive=True)
 
 
 @dataclass(frozen=True)
@@ -103,10 +112,7 @@ class PhaseFieldParams:
     mobility: MobilitySpec
 
     def __post_init__(self):
-        for name in ("beta", "epsilon"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        _require_finite(self, ("beta", "epsilon"), positive=True)
 
 
 @dataclass(frozen=True)
@@ -350,6 +356,12 @@ def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
 # ---------------------------------------------------------------------------
 # derived sharp-interface constants
 # ---------------------------------------------------------------------------
+
+def relaxation_rates(beta: float, pot: DoubleWellPotential,
+                     rho_plus: float, rho_minus: float) -> tuple[float, float]:
+    """Relaxation coefficients K+- = beta psi''(+-1) rho+- of the fast source."""
+    return beta * pot.ddpsi_plus * rho_plus, beta * pot.ddpsi_minus * rho_minus
+
 
 def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -> SharpParams:
     """Compute the sharp-interface constants implied by ``p``.

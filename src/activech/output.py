@@ -212,7 +212,6 @@ class RunWriter:
         self._manifest = {
             "tool": "activech",
             "version": __version__,
-            "threads": os.environ.get("ACTIVE_CH_THREADS", "1"),
             "config": self.opts.manifest_extra,
             "start_time": datetime.now(timezone.utc).isoformat(),
             "end_time": None,
@@ -232,8 +231,18 @@ class RunWriter:
             write_vtk(self.dir / f"snap_{step:06d}.vtk", self.mesh,
                       {"phi": phi, "mu": mu}, title=f"t = {_fmt(t)}")
 
-    def abort(self):
-        """Crashed run: the start manifest (no end time) stays in place."""
+    def abort(self, exc: Exception):
+        """Crashed run: record the failure; the manifest keeps no end time.
+
+        The failing step and its Newton residual history are recorded when
+        ``exc`` carries them (:class:`activech.errors.StepFailureError`).
+        """
+        self._manifest["failure"] = {
+            "error": str(exc),
+            "step": getattr(exc, "step", None),
+            "residuals": list(getattr(exc, "residuals", [])),
+        }
+        self._write_manifest()
 
     def finish(self, record):
         write_diagnostics_csv(self.dir / "diag.csv", record)

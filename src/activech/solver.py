@@ -55,7 +55,6 @@ class SolverConfig:
     newton_tol: float = 1e-9
     newton_max: int = 20
     linear_tol: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("tau", "newton_tol", "linear_tol"):
@@ -99,7 +98,6 @@ class Stepper:
         self._inv_w = sparse.diags(1.0 / self.w)
         self._d1 = sparse.diags(self.w / config.tau)
         self._lu = None
-        self._pattern_template = None
         if mesh.h > max_mesh_size(params.epsilon) * (1.0 + 1e-12):
             warnings.warn(
                 f"mesh size h={mesh.h:g} is too coarse for epsilon={params.epsilon:g}; "
@@ -224,18 +222,6 @@ class Stepper:
         )
 
 
-def time_step(state: SimState, p: PhaseFieldParams, cfg: SolverConfig) -> SimState:
-    """Advance a single step (convenience wrapper; rebuilds assembly)."""
-    stepper = Stepper(state.phi.mesh, p, cfg)
-    phi, mu, _ = stepper.step(state.phi.values, state.mu.values, state.step)
-    return SimState(
-        phi=NodalField(phi, state.phi.mesh),
-        mu=NodalField(mu, state.phi.mesh),
-        t=(state.step + 1) * cfg.tau,
-        step=state.step + 1,
-    )
-
-
 def free_energy(field: NodalField, mesh: StructuredMesh, p: PhaseFieldParams) -> float:
     """Ginzburg-Landau energy: beta (eps/2 |grad phi|^2 + psi(phi)/eps).
 
@@ -270,15 +256,6 @@ class RunRecord:
     wall_seconds: float = 0.0
 
 
-def make_state(mesh: StructuredMesh, p: PhaseFieldParams, cfg: SolverConfig,
-               init_kind: str, init_params: dict) -> SimState:
-    """Initial (phi, mu) at t = 0; mu is defined through the phi equation."""
-    phi = init_field(mesh, init_kind, init_params, p.epsilon)
-    stepper = Stepper(mesh, p, cfg)
-    mu = stepper.initial_mu(phi.values)
-    return SimState(phi=phi, mu=NodalField(mu, mesh), t=0.0, step=0)
-
-
 def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
                    t_end: float, outputs=None) -> RunRecord:
     """Advance the scheme to ``t_end``, recording diagnostics each stride.
@@ -287,11 +264,11 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
     ``init_spec`` is a NodalField or a (kind, params) tuple.  ``outputs``
     is an :class:`activech.output.OutputOptions`; when it names a
     directory, the diagnostics CSV, VTK snapshots, a final checkpoint and
-    the run manifest are written there.  Fully deterministic for a fixed
-    seed and thread count.
+    the run manifest are written there.  Deterministic: identical inputs
+    give identical records and files.
     """
     from . import output as outmod
-    from .analysis import interface_position, mode_amplitudes
+    from .analysis import mode_amplitudes, track_interface
     from .errors import TrackingError
 
     opts = outputs if outputs is not None else outmod.OutputOptions()
@@ -330,7 +307,7 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
         q_now = math.nan
         if opts.track_interface:
             try:
-                q_now = interface_position(fld, mesh, line_x2=opts.track_line, prev=prev_q)
+                q_now = track_interface(fld, mesh, line_x2=opts.track_line, prev=prev_q)
                 prev_q = q_now
             except TrackingError as exc:
                 _warn_once(run_warnings, f"interface tracking: {exc}")
@@ -360,9 +337,9 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
                        f"phase field left [-{PHI_BOUND_WARN}, {PHI_BOUND_WARN}]: "
                        f"max |phi| = {max_abs_phi:.4f}")
             warnings.warn(run_warnings[-1], UserWarning, stacklevel=2)
-    except Exception:
+    except Exception as exc:
         if writer:
-            writer.abort()
+            writer.abort(exc)
         raise
 
     state = SimState(phi=NodalField(phi, mesh), mu=NodalField(mu, mesh),

@@ -226,8 +226,24 @@ def test_convergence_study_annotates_failures(quartic):
     assert "StepFailure" in table.rows[0].note
 
 
+def test_convergence_study_annotates_tracking_failures(quartic, monkeypatch):
+    reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
+    p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
+                            ac.MobilitySpec(1.0, 1.0))
+
+    def lost(*args, **kwargs):
+        raise ac.TrackingError("no sign change along the tracking line")
+
+    monkeypatch.setattr("activech.analysis.track_interface", lost)
+    table = ac.convergence_study(p, [1 / (4 * math.pi)], 0.01, q0=0.3, dim=1)
+    assert math.isnan(table.rows[0].error)
+    assert "tracking" in table.rows[0].note.lower()
+
+
 def test_convergence_study_rejects_increasing_ladder(quartic):
     reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
     p = ac.PhaseFieldParams(0.1, 0.05, quartic, reaction, ac.MobilitySpec(1.0, 1.0))
     with pytest.raises(ac.ConfigurationError):
         ac.convergence_study(p, [0.01, 0.02], 0.1, dim=1)
+    with pytest.raises(ac.ConfigurationError, match="max_workers"):
+        ac.convergence_study(p, [0.02, 0.01], 0.1, dim=1, max_workers=2)

@@ -95,6 +95,9 @@ def test_simulate_numerical_failure_exit_code(tmp_path):
 def test_simulate_nonfinite_parameter_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", cfg, "--set", "physics.beta=nan"]) == 1
+    k_cfg = write_cfg(tmp_path, SIM_CFG.replace("rho_plus = 1", "k_plus = 0.2")
+                      .replace("rho_minus = 0.1", "k_minus = 0.02"), name="k.cfg")
+    assert main(["simulate", "--config", k_cfg, "--set", "physics.k_plus=nan"]) == 1
 
 
 def test_sharp_ode_stationary_is_constant(tmp_path):

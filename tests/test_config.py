@@ -114,6 +114,11 @@ value = 0
     assert "s_minus" in str(err.value)
 
 
+def test_unsupported_potential_kind():
+    with pytest.raises(ac.ConfigurationError, match="cubic"):
+        ac.parse_config(MINIMAL, overrides={"physics.potential": "cubic"})
+
+
 def test_overrides_win_over_file():
     cfg = ac.parse_config(MINIMAL, overrides={"physics.beta": "0.5",
                                               "output.directory": "/tmp/x"})

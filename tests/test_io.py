@@ -170,6 +170,9 @@ def test_manifest_written_before_compute_and_on_crash(tmp_path, quartic):
                           0.02, outputs=opts)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["end_time"] is None
+    assert manifest["failure"]["step"] == 1
+    assert len(manifest["failure"]["residuals"]) > 0
+    assert "Newton failed" in manifest["failure"]["error"]
 
 
 def test_manifest_bounded_follows_phi_bound(tmp_path, quartic, monkeypatch):
@@ -200,7 +203,7 @@ def test_deterministic_diagnostics_bytes(tmp_path, quartic):
             p, (2, (1.0, 1.0), 1 / 16),
             ("flat_front", {"q0": 0.5, "n_random_modes": 4, "bound": 0.05,
                             "seed": 42}),
-            ac.SolverConfig(seed=42), 0.01, outputs=opts)
+            ac.SolverConfig(), 0.01, outputs=opts)
         blobs.append((out / "diag.csv").read_bytes())
     assert blobs[0] == blobs[1]
 

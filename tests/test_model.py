@@ -162,6 +162,14 @@ def test_source_vectorized_matches_scalar(quartic):
     assert np.max(np.abs(vec - scal)) < 1e-13
 
 
+@pytest.mark.parametrize("field", ["s_plus", "s_minus", "k_plus", "k_minus", "l_coef", "r_c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_reaction_spec_rejects_nonfinite(field, value):
+    fields = dict(s_plus=-1.0, s_minus=1.0, k_plus=0.2, k_minus=0.2, l_coef=0.0, r_c=1.0)
+    with pytest.raises(ac.ConfigurationError, match=field):
+        ac.ReactionSpec(**{**fields, field: value})
+
+
 def test_reaction_spec_rejects_bad_rc():
     with pytest.raises(ac.ConfigurationError):
         ac.ReactionSpec(s_plus=1.0, s_minus=1.0, k_plus=1.0, k_minus=1.0, r_c=0.0)
@@ -180,6 +188,13 @@ def test_mobility_endpoints_midpoint_clamp():
     assert ac.mobility_m(spec, 0.0) == pytest.approx(0.35, abs=1e-15)
     assert ac.mobility_m(spec, 3.0) == 0.5
     assert ac.mobility_m(spec, -2.5) == 0.2
+
+
+@pytest.mark.parametrize("field", ["m_plus", "m_minus"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_mobility_spec_rejects_nonfinite(field, value):
+    with pytest.raises(ac.ConfigurationError, match=field):
+        ac.MobilitySpec(**{"m_plus": 1.0, "m_minus": 1.0, field: value})
 
 
 def test_mobility_bounds_random():
