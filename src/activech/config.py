@@ -21,6 +21,7 @@ from .model import (
     PhaseFieldParams,
     ReactionSpec,
     relaxation_rates,
+    rho_from_rates,
 )
 
 _EPS_SYMBOLIC = re.compile(r"^\s*1\s*/\s*\(\s*([0-9]*\.?[0-9]+)\s*\*\s*pi\s*\)\s*$")
@@ -216,8 +217,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     if has_k:
         k_plus = float(_parse_scalar(_get(sections, "physics", "k_plus", "0")))
         k_minus = float(_parse_scalar(_get(sections, "physics", "k_minus", "0")))
-        rho_plus = k_plus / (beta * pot.ddpsi_plus)
-        rho_minus = k_minus / (beta * pot.ddpsi_minus)
+        rho_plus, rho_minus = rho_from_rates(beta, pot, k_plus, k_minus)
     else:
         rho_plus = float(_parse_scalar(_get(sections, "physics", "rho_plus", "1")))
         rho_minus = float(_parse_scalar(_get(sections, "physics", "rho_minus", "1")))

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 import activech as ac
+from activech import model
 
 SQRT2 = math.sqrt(2.0)
 
@@ -241,6 +243,13 @@ def test_derive_sharp_zero_rho_flagged(quartic):
         sharp.require_planar()
 
 
+def test_rho_from_rates_inverts_relaxation_rates(quartic):
+    k_plus, k_minus = model.relaxation_rates(0.1, quartic, 1.5, 0.25)
+    assert k_plus == pytest.approx(0.3, rel=1e-15) and k_minus == pytest.approx(0.05, rel=1e-15)
+    rho = model.rho_from_rates(0.1, quartic, k_plus, k_minus)
+    assert rho == pytest.approx((1.5, 0.25), rel=1e-15)
+
+
 @pytest.mark.parametrize("field, value", [("beta", math.nan), ("epsilon", math.inf)])
 def test_params_reject_nonfinite(quartic, field, value):
     with pytest.raises(ac.ConfigurationError, match=field):
@@ -335,6 +344,50 @@ def test_si_quadrature_small_rc_antisymmetric(quartic):
     spec = ac.ReactionSpec(s_plus=1.0, s_minus=1.0, k_plus=1.0, k_minus=1.0,
                            l_coef=0.0, r_c=0.5)
     assert abs(ac.si_quadrature(spec, quartic)) < 1e-8
+
+
+def _si_adaptive(spec, pot):
+    """Adaptive scalar quadrature with the kinks as break points: the oracle."""
+    z_c = SQRT2 * math.atanh(spec.r_c)
+    val, _ = integrate.quad(
+        lambda z: float(ac.source_S2(spec, pot, ac.profile_Phi0(pot, z))),
+        -model._PROFILE_Z_MAX, model._PROFILE_Z_MAX,
+        epsabs=1e-13, epsrel=1e-13, limit=400, points=[-z_c, z_c],
+    )
+    return val
+
+
+@pytest.mark.parametrize("r_c", [0.5, 0.75, 0.9])
+@pytest.mark.parametrize("k_plus, k_minus, l_coef", [(1.7, 0.4, -0.8), (-3.0, 5.0, 2.5)])
+def test_si_quadrature_matches_adaptive_oracle(quartic, r_c, k_plus, k_minus, l_coef):
+    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=k_plus, k_minus=k_minus,
+                           l_coef=l_coef, r_c=r_c)
+    assert abs(ac.si_quadrature(spec, quartic) - _si_adaptive(spec, quartic)) < 1e-12
+
+
+@pytest.mark.parametrize("r_c", [1.0, 0.5])
+def test_si_quadrature_custom_potential_keeps_kinks(quartic, r_c):
+    # the quartic's callables through the generic profile and kink search
+    custom = ac.DoubleWellPotential(
+        psi=quartic.psi, dpsi=quartic.dpsi, ddpsi=quartic.ddpsi,
+        ddpsi_plus=2.0, ddpsi_minus=2.0, kind="custom",
+    )
+    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4,
+                           l_coef=-0.8, r_c=r_c)
+    assert abs(ac.si_quadrature(spec, custom) - ac.si_quadrature(spec, quartic)) < 1e-9
+
+
+def test_si_quadrature_evaluates_source_once(quartic, monkeypatch):
+    calls = []
+
+    def counting_source_S2(spec, pot, r):
+        calls.append(np.size(r))
+        return ac.source_S2(spec, pot, r)
+
+    monkeypatch.setattr(model, "source_S2", counting_source_S2)
+    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4, r_c=0.5)
+    ac.si_quadrature(spec, quartic)
+    assert len(calls) <= 1
 
 
 def test_si_closed_form_requires_rc_one(quartic):
