@@ -61,7 +61,6 @@ from .solver import (
 from .analysis import (
     ConvergenceRow,
     ConvergenceTable,
-    InterfaceTrace,
     ModeSpectrum,
     auto_mesh_size,
     convergence_study,
@@ -79,7 +78,8 @@ from .output import (
     Checkpoint,
     OutputOptions,
     read_checkpoint,
+    table_text,
     write_checkpoint,
-    write_diagnostics_csv,
+    write_table,
     write_vtk,
 )

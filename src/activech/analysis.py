@@ -78,23 +78,6 @@ def track_interface(field: NodalField, mesh: StructuredMesh, line_x2: float = 0.
     return min(crossings, key=lambda c: abs(c - prev))
 
 
-@dataclass
-class InterfaceTrace:
-    """Front positions over time along a fixed tracking line."""
-
-    times: np.ndarray
-    q_h: np.ndarray
-    line_x2: float = 0.0
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.q_h = np.asarray(self.q_h, dtype=float)
-        if self.times.shape != self.q_h.shape:
-            raise ConfigurationError("times and positions must have equal length")
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ConfigurationError("times must be strictly increasing")
-
-
 # ---------------------------------------------------------------------------
 # transverse mode spectrum
 # ---------------------------------------------------------------------------
@@ -218,22 +201,19 @@ class ConvergenceTable:
         return [r.error for r in self.rows]
 
 
-def _eoc(prev: ConvergenceRow | None, epsilon: float, error: float) -> float | None:
-    if prev is None or not (math.isfinite(prev.error) and math.isfinite(error)):
-        return None
-    if prev.epsilon == epsilon or prev.error <= 0.0 or error <= 0.0:
-        return None
-    return math.log(prev.error / error) / math.log(prev.epsilon / epsilon)
-
-
 def eoc_sequence(epsilons, errors) -> list[float | None]:
-    """EOC entries for given ladders (first entry absent)."""
-    rows: list[float | None] = []
-    prev = None
-    for eps, err in zip(epsilons, errors):
-        rows.append(_eoc(prev, eps, err))
-        prev = ConvergenceRow(epsilon=eps, h=0.0, error=err, eoc=None)
-    return rows
+    """EOC of each rung against the previous one.
+
+    ``None`` for the first rung and wherever the two errors are not both
+    finite and positive or the two epsilons are equal.
+    """
+    rungs = list(zip(epsilons, errors))
+    eocs: list[float | None] = [None] if rungs else []
+    for (eps0, err0), (eps1, err1) in zip(rungs, rungs[1:]):
+        defined = (math.isfinite(err0) and math.isfinite(err1) and eps0 != eps1
+                   and err0 > 0.0 and err1 > 0.0)
+        eocs.append(math.log(err0 / err1) / math.log(eps0 / eps1) if defined else None)
+    return eocs
 
 
 def reference_front_position(p: PhaseFieldParams, length_L: float, width_Lt: float,
@@ -272,8 +252,7 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
                                      q0, t_end, dt=reference_dt)
     outputs = OutputOptions(stride=max(1, int(round(t_end / cfg.tau))))
 
-    table = ConvergenceTable()
-    prev = None
+    rows = []
     for eps in epsilons:
         err, h_eff, note = math.nan, h, ""
         try:
@@ -285,8 +264,7 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
                 note = "; ".join(record.warnings)
         except Exception as exc:  # annotate, don't abort the ladder
             note = f"{type(exc).__name__}: {exc}"
-        row = ConvergenceRow(epsilon=eps, h=math.nan if h_eff is None else h_eff,
-                             error=err, eoc=_eoc(prev, eps, err), note=note)
-        table.rows.append(row)
-        prev = row
-    return table
+        rows.append(ConvergenceRow(epsilon=eps, h=math.nan if h_eff is None else h_eff,
+                                   error=err, eoc=None, note=note))
+    eocs = eoc_sequence(epsilons, [row.error for row in rows])
+    return ConvergenceTable([replace(row, eoc=eoc) for row, eoc in zip(rows, eocs)])

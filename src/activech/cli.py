@@ -15,11 +15,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    ModeSpectrum,
     convergence_study,
     fit_growth_rate,
     growth_window,
 )
-from .config import parse_config, parse_epsilon
+from .config import parse_config
 from .errors import ConfigurationError, NumericalError
 from .model import (
     DoubleWellPotential,
@@ -36,15 +37,7 @@ from .model import (
     validate_potential,
     GAMMA_QUARTIC,
 )
-from .output import (
-    OutputOptions,
-    write_convergence_csv,
-    write_loglog_data,
-    write_modes_csv,
-    write_sharp_ode_csv,
-    write_si_table_csv,
-    write_stability_csv,
-)
+from .output import OutputOptions, write_table
 from .planar import (
     ModeIndex,
     PlanarConfig,
@@ -106,10 +99,20 @@ def _load_config(args):
     path = Path(args.config)
     if not path.exists():
         raise ConfigurationError(f"configuration file not found: {path}")
-    overrides = _overrides(getattr(args, "set", None))
-    if getattr(args, "out", None):
+    overrides = _overrides(args.set)
+    if args.out:
         overrides["output.directory"] = args.out
     return parse_config(path.read_text(), overrides)
+
+
+def _front_position(sharp, given: float | None, flag: str) -> float:
+    """``given`` if set, else the stationary root of H, else NumericalError."""
+    if given is not None:
+        return given
+    q = find_stationary(PlanarConfig(sharp=sharp, q0=sharp.length_L / 2))
+    if q is None:
+        raise NumericalError(f"no stationary front exists; give {flag} explicitly")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +147,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sharp_ode(args) -> int:
-    p = _params_from_flags(args)
-    sharp = derive_sharp_params(p, args.L, args.Lt)
-    q0 = args.q0
-    if q0 is None:
-        probe = PlanarConfig(sharp=sharp, q0=args.L / 2, dt=args.dt, t_end=args.t_end)
-        q0 = find_stationary(probe)
-        if q0 is None:
-            raise NumericalError("no stationary front exists; give --q0 explicitly")
+    sharp = derive_sharp_params(_params_from_flags(args), args.L, args.Lt)
+    q0 = _front_position(sharp, args.q0, "--q0")
     cfg = PlanarConfig(sharp=sharp, q0=q0, dt=args.dt, t_end=args.t_end)
     traj = integrate_q(cfg, output_stride=args.stride)
-    write_sharp_ode_csv(args.out, traj, lambda q: velocity_H(cfg, q))
+    write_table(args.out, ["t", "q", "H"],
+                ((t, q, velocity_H(cfg, float(q))) for t, q in zip(traj.times, traj.q)))
     if traj.boundary_hit:
         print("warning: front reached the domain boundary; trajectory truncated",
               file=sys.stderr)
@@ -164,18 +162,18 @@ def _cmd_sharp_ode(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    p = _params_from_flags(args)
-    sharp = derive_sharp_params(p, args.L, args.Lt)
-    q = args.q
-    if q is None:
-        probe = PlanarConfig(sharp=sharp, q0=args.L / 2)
-        q = find_stationary(probe)
-        if q is None:
-            raise NumericalError("no stationary front exists; give --q explicitly")
+    if args.lmax < 0:
+        raise ConfigurationError(f"--lmax must be nonnegative, got {args.lmax}")
+    sharp = derive_sharp_params(_params_from_flags(args), args.L, args.Lt)
+    q = _front_position(sharp, args.q, "--q")
     modes = mode_representatives(enumerate_modes(args.d, args.lmax * args.lmax))
     rows = [amplification(sharp, args.beta, q, mode) for mode in modes]
     if args.out:
-        write_stability_csv(args.out, rows)
+        write_table(args.out,
+                    ["l_sq", "gamma_plus", "gamma_minus", "a_plus", "a_minus", "factor",
+                     "beta_crit"],
+                    ((r.mode.l_sq, r.gamma_plus, r.gamma_minus, r.a_plus, r.a_minus,
+                      r.factor, r.beta_crit) for r in rows))
         print(f"wrote {args.out}")
     for row in rows:
         crit = "" if row.beta_crit is None else f" beta_crit={row.beta_crit:.6g}"
@@ -202,8 +200,11 @@ def _cmd_converge(args) -> int:
     )
     out_dir = Path(cfg.directory or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_convergence_csv(out_dir / "convergence.csv", table)
-    write_loglog_data(out_dir / "convergence_loglog.dat", table)
+    write_table(out_dir / "convergence.csv", ["epsilon", "h", "error", "eoc"],
+                ((r.epsilon, r.h, r.error, r.eoc) for r in table.rows))
+    # two columns (epsilon, error) for external log-log plotting
+    write_table(out_dir / "convergence_loglog.dat", [],
+                ((r.epsilon, r.error) for r in table.rows), sep=" ")
     for row in table.rows:
         eoc = "  ---" if row.eoc is None else f"{row.eoc:5.2f}"
         note = f"  [{row.note}]" if row.note else ""
@@ -219,11 +220,12 @@ def _cmd_modes(args) -> int:
     record = _run_configured(cfg, cfg.modes_lmax if cfg.modes_lmax is not None else 10)
     if record.mode_amps is None:
         raise NumericalError("mode extraction produced no data")
+    l_max = record.mode_amps.shape[1] - 1
     out_dir = Path(cfg.directory or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_modes_csv(out_dir / "modes.csv", record.times, record.mode_amps)
-    finals = np.abs(record.mode_amps[-1, 1:])
-    dominant = 1 + int(np.argmax(finals))
+    write_table(out_dir / "modes.csv", ["t"] + [f"A{l}" for l in range(l_max + 1)],
+                np.column_stack([record.times, record.mode_amps]))
+    dominant = ModeSpectrum(record.mode_amps[-1], l_max).dominant()
     sharp = derive_sharp_params(cfg.phase_field_params(), cfg.lengths[0], cfg.lengths[1])
     q_for_rate = record.q_h[0] if math.isfinite(record.q_h[0]) else cfg.lengths[0] / 2
     predicted = amplification(sharp, cfg.beta, q_for_rate, ModeIndex.of(dominant)).growth_rate
@@ -252,7 +254,7 @@ def _cmd_si_table(args) -> int:
                                         k_minus=k_minus, l_coef=l_coef, r_c=r_c)
                     rows.append((k_plus, k_minus, l_coef, r_c,
                                  si_quadrature(spec, pot)))
-    write_si_table_csv(args.out, rows)
+    write_table(args.out, ["k_plus", "k_minus", "l_coef", "r_c", "s_i"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
@@ -337,12 +339,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"activech {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    sim = sub.add_parser("simulate", help="run a phase-field simulation", parents=[])
-    sim.add_argument("--config", required=True)
-    sim.add_argument("--out", help="output directory (overrides [output] directory)")
-    sim.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                     help="override a configuration field")
-    sim.set_defaults(func=_cmd_simulate)
+    for name, func, text in (
+            ("simulate", _cmd_simulate, "run a phase-field simulation"),
+            ("converge", _cmd_converge, "diffuse-vs-sharp convergence ladder"),
+            ("modes", _cmd_modes, "simulate and extract mode growth")):
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("--config", required=True)
+        cmd.add_argument("--out", help="output directory (overrides [output] directory)")
+        cmd.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                         help="override a configuration field")
+        cmd.set_defaults(func=func)
 
     ode = sub.add_parser("sharp-ode", help="integrate the planar front ODE")
     _physics_flags(ode)
@@ -360,18 +366,6 @@ def build_parser() -> _Parser:
     stab.add_argument("-d", type=int, default=2, choices=(2, 3))
     stab.add_argument("--out")
     stab.set_defaults(func=_cmd_stability)
-
-    conv = sub.add_parser("converge", help="diffuse-vs-sharp convergence ladder")
-    conv.add_argument("--config", required=True)
-    conv.add_argument("--out", help="output directory")
-    conv.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    conv.set_defaults(func=_cmd_converge)
-
-    modes = sub.add_parser("modes", help="simulate and extract mode growth")
-    modes.add_argument("--config", required=True)
-    modes.add_argument("--out", help="output directory")
-    modes.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    modes.set_defaults(func=_cmd_modes)
 
     si = sub.add_parser("si-table", help="tabulate the interfacial reaction constant")
     si.add_argument("--kplus", default="0")

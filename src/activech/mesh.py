@@ -7,6 +7,7 @@ x-fastest, matching the flat layout of snapshot and checkpoint files.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -47,9 +48,6 @@ class StructuredMesh:
             out *= length
         return out
 
-    def node_index(self, i: int, j: int = 0) -> int:
-        return i + j * (self.cells[0] + 1)
-
     def grid_view(self, values: np.ndarray) -> np.ndarray:
         """Reshape flat nodal values to the lattice, indexed [j, i] in 2D."""
         if self.dim == 1:
@@ -87,13 +85,13 @@ def _cells_for(length: float, h: float) -> int:
 
 def build_mesh(dim: int, lengths, h: float) -> StructuredMesh:
     """Uniform lattice mesh of (0, L1) or (0, L1) x (0, L2) with spacing h."""
-    if h <= 0.0:
-        raise ConfigurationError(f"mesh size must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ConfigurationError(f"mesh size must be positive and finite, got {h}")
     lengths = tuple(float(x) for x in (lengths if np.iterable(lengths) else (lengths,)))
     if len(lengths) != dim:
         raise ConfigurationError(f"{dim}D mesh needs {dim} lengths, got {lengths}")
-    if any(x <= 0.0 for x in lengths):
-        raise ConfigurationError(f"domain lengths must be positive, got {lengths}")
+    if not all(math.isfinite(x) and x > 0.0 for x in lengths):
+        raise ConfigurationError(f"domain lengths must be positive and finite, got {lengths}")
 
     if dim == 1:
         n1 = _cells_for(lengths[0], h)

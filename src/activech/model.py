@@ -135,6 +135,9 @@ class SharpParams:
     length_L: float
     width_Lt: float
 
+    def __post_init__(self):
+        _require_finite(self, ("length_L", "width_Lt"), positive=True)
+
     @property
     def m_plus(self) -> float:
         self.require_planar()

@@ -1,9 +1,10 @@
-"""File emission: diagnostics CSV, legacy VTK snapshots, checkpoints, manifests.
+"""File emission: tables, legacy VTK snapshots, checkpoints, manifests.
 
 All writes go through a write-then-rename so partially written files never
-appear under their final names.  CSV files use ',' separators, '.' decimals
-and LF line endings; floats carry full precision so identical runs produce
-byte-identical files.
+appear under their final names.  Every table (a run's ``diag.csv`` and each
+file the CLI writes) comes from the one writer :func:`write_table`: ','
+separators (' ' for the log-log data), '.' decimals and LF line endings;
+floats carry full precision so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 from . import solver
 from .errors import ConfigurationError, NumericalError
 from .mesh import StructuredMesh
+from .model import _require_finite
 
 CHECKPOINT_MAGIC = b"ACHCKPT1"
 _CHECKPOINT_HEADER = struct.Struct("<8sIIIdQ28x")  # magic, dim, n1, n2, t, step (64 bytes)
@@ -108,69 +110,18 @@ def read_checkpoint(path) -> Checkpoint:
                       phi=values[:n_nodes].copy(), mu=values[n_nodes:].copy())
 
 
-def diagnostics_csv_text(times, mass, energy, q_h, mode_amps=None) -> str:
-    n_modes = 0 if mode_amps is None else np.asarray(mode_amps).shape[1]
-    header = "t,mass,energy,q_h" + "".join(f",mode_{l}" for l in range(n_modes))
-    rows = [header]
-    for i in range(len(times)):
-        cells = [_fmt(times[i]), _fmt(mass[i]), _fmt(energy[i]), _fmt(q_h[i])]
-        if n_modes:
-            cells.extend(_fmt(a) for a in mode_amps[i])
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+def table_text(header, rows, sep=",") -> str:
+    """A table as text: the header line (omitted when empty), then one line per row.
+
+    ``None`` becomes an empty cell and every other cell goes through ``_fmt``.
+    """
+    lines = [sep.join(header)] if header else []
+    lines.extend(sep.join("" if x is None else _fmt(x) for x in row) for row in rows)
+    return "".join(line + "\n" for line in lines)
 
 
-def write_diagnostics_csv(path, record):
-    _atomic_write_text(Path(path), diagnostics_csv_text(
-        record.times, record.mass, record.energy, record.q_h, record.mode_amps))
-
-
-def write_convergence_csv(path, table):
-    lines = ["epsilon,h,error,eoc"]
-    for row in table.rows:
-        eoc = "" if row.eoc is None else _fmt(row.eoc)
-        lines.append(f"{_fmt(row.epsilon)},{_fmt(row.h)},{_fmt(row.error)},{eoc}")
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def write_loglog_data(path, table):
-    """Two-column (epsilon, error) file for external log-log plotting."""
-    lines = [f"{_fmt(row.epsilon)} {_fmt(row.error)}" for row in table.rows]
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def write_stability_csv(path, rows):
-    lines = ["l_sq,gamma_plus,gamma_minus,a_plus,a_minus,factor,beta_crit"]
-    for row in rows:
-        crit = "" if row.beta_crit is None else _fmt(row.beta_crit)
-        lines.append(",".join([
-            str(row.mode.l_sq), _fmt(row.gamma_plus), _fmt(row.gamma_minus),
-            _fmt(row.a_plus), _fmt(row.a_minus), _fmt(row.factor), crit,
-        ]))
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def write_sharp_ode_csv(path, traj, velocity):
-    """CSV of (t, q, H(q)) for a planar front trajectory."""
-    lines = ["t,q,H"]
-    for t, q in zip(traj.times, traj.q):
-        lines.append(f"{_fmt(t)},{_fmt(q)},{_fmt(velocity(float(q)))}")
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def write_si_table_csv(path, rows):
-    lines = ["k_plus,k_minus,l_coef,r_c,s_i"]
-    for k_plus, k_minus, l_coef, r_c, s_i in rows:
-        lines.append(",".join(_fmt(v) for v in (k_plus, k_minus, l_coef, r_c, s_i)))
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
-
-
-def write_modes_csv(path, times, mode_amps):
-    amps = np.asarray(mode_amps)
-    lines = ["t" + "".join(f",A{l}" for l in range(amps.shape[1]))]
-    for i, t in enumerate(times):
-        lines.append(",".join([_fmt(t)] + [_fmt(a) for a in amps[i]]))
-    _atomic_write_text(Path(path), "\n".join(lines) + "\n")
+def write_table(path, header, rows, sep=","):
+    _atomic_write_text(Path(path), table_text(header, rows, sep))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +144,7 @@ class OutputOptions:
     def __post_init__(self):
         if self.stride < 1:
             raise ConfigurationError("output stride must be >= 1")
+        _require_finite(self, ("track_line",))
 
 
 class RunWriter:
@@ -245,7 +197,12 @@ class RunWriter:
         self._write_manifest()
 
     def finish(self, record):
-        write_diagnostics_csv(self.dir / "diag.csv", record)
+        amps = record.mode_amps
+        if amps is None:
+            amps = np.empty((len(record.times), 0))
+        header = ["t", "mass", "energy", "q_h"] + [f"mode_{l}" for l in range(amps.shape[1])]
+        write_table(self.dir / "diag.csv", header, np.column_stack(
+            [record.times, record.mass, record.energy, record.q_h, amps]))
         if self.opts.checkpoint and self._last is not None:
             step, t, phi, mu = self._last
             write_checkpoint(self.dir / "checkpoint.bin", self.mesh, t, step, phi, mu)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import SharpParams
+from .model import SharpParams, _require_finite
 
 _NORMALIZED_TOL = 1e-12
 
@@ -32,8 +32,8 @@ class PlanarConfig:
         if not (0.0 < self.q0 < self.sharp.length_L):
             raise ConfigurationError(
                 f"q0 must lie in (0, {self.sharp.length_L}), got {self.q0}")
-        if self.dt <= 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
+        _require_finite(self, ("dt",), positive=True)
+        _require_finite(self, ("t_end",))
 
 
 @dataclass(frozen=True)

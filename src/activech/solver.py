@@ -271,6 +271,8 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
     from .analysis import mode_amplitudes, track_interface
     from .errors import TrackingError
 
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     opts = outputs if outputs is not None else outmod.OutputOptions()
     mesh = mesh_spec if isinstance(mesh_spec, StructuredMesh) else build_mesh(*mesh_spec)
     if isinstance(init_spec, NodalField):

@@ -75,13 +75,6 @@ def test_track_interface_2d_line_selection(quartic):
     assert q_top == pytest.approx(0.4, abs=0.01)
 
 
-def test_interface_trace_validation():
-    with pytest.raises(ac.ConfigurationError):
-        ac.InterfaceTrace(times=[0.0, 0.0], q_h=[0.5, 0.5])
-    trace = ac.InterfaceTrace(times=[0.0, 0.1], q_h=[0.5, 0.6])
-    assert trace.q_h[-1] == 0.6
-
-
 # ---------------------------------------------------------------------------
 # mode amplitudes
 # ---------------------------------------------------------------------------

@@ -92,12 +92,38 @@ def test_simulate_numerical_failure_exit_code(tmp_path):
     assert code == 2
 
 
-def test_simulate_nonfinite_parameter_exit_code(tmp_path):
+def test_simulate_nonfinite_parameter_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", cfg, "--set", "physics.beta=nan"]) == 1
     k_cfg = write_cfg(tmp_path, SIM_CFG.replace("rho_plus = 1", "k_plus = 0.2")
                       .replace("rho_minus = 0.1", "k_minus = 0.02"), name="k.cfg")
     assert main(["simulate", "--config", k_cfg, "--set", "physics.k_plus=nan"]) == 1
+    for override in ("discretization.h=nan", "domain.lengths=inf",
+                     "discretization.t_end=nan", "discretization.t_end=inf"):
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--set", override]) == 1, override
+        assert "configuration error" in capsys.readouterr().err, override
+    cfg_2d = write_cfg(tmp_path, SIM_CFG.replace("dim = 1", "dim = 2")
+                       .replace("lengths = 1", "lengths = 1, 1"), name="2d.cfg")
+    assert main(["simulate", "--config", cfg_2d, "--set", "output.track_line=nan"]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+SHARP_FLAGS = ["--beta", "0.1", "--splus", "-1", "--sminus", "1"]
+
+
+@pytest.mark.parametrize("flags", [["--dt", "nan"], ["--t-end", "inf"]])
+def test_sharp_ode_nonfinite_input_exit_code(tmp_path, capsys, flags):
+    out = tmp_path / "ode.csv"
+    assert main(["sharp-ode", *SHARP_FLAGS, "--q0", "0.3", *flags, "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--Lt", "0"], ["--Lt", "nan"], ["--lmax", "-3"]])
+def test_stability_invalid_input_exit_code(capsys, flags):
+    assert main(["stability", *SHARP_FLAGS, *flags]) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_sharp_ode_stationary_is_constant(tmp_path):

@@ -11,8 +11,9 @@ import activech as ac
 from activech import solver
 from activech.output import (
     OutputOptions,
-    diagnostics_csv_text,
+    RunWriter,
     read_checkpoint,
+    table_text,
     write_checkpoint,
     write_vtk,
 )
@@ -108,17 +109,40 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# diagnostics CSV
+# tables and the diagnostics CSV
 # ---------------------------------------------------------------------------
 
-def test_empty_diagnostics_header_only():
-    text = diagnostics_csv_text([], [], [], [])
+def test_table_text_cells_and_line_endings():
+    rng = np.random.default_rng(3)
+    floats = [0.1 + 0.2, math.pi, -1e-300, 5e-324, *rng.standard_normal(4) * 1e7]
+    text = table_text(["a", "b", "c"], [(None, 4, x) for x in floats])
+    assert "\r" not in text and text.endswith("\n")
+    lines = text.split("\n")[:-1]
+    assert lines[0] == "a,b,c"
+    for line, x in zip(lines[1:], floats, strict=True):
+        empty, four, cell = line.split(",")
+        assert empty == "" and four == "4"
+        assert float(cell) == x
+    assert table_text([], [(0.5, 2.0)], sep=" ") == "0.5 2\n"
+
+
+def diagnostics_csv(tmp_path, times, mass, energy, q_h, mode_amps=None) -> str:
+    record = solver.RunRecord(times=np.asarray(times), mass=np.asarray(mass),
+                              energy=np.asarray(energy), q_h=np.asarray(q_h),
+                              mode_amps=mode_amps, newton_iters=[], max_abs_phi=0.0)
+    mesh = ac.build_mesh(1, (1.0,), 0.5)
+    RunWriter(OutputOptions(directory=str(tmp_path)), mesh).finish(record)
+    return (tmp_path / "diag.csv").read_text()
+
+
+def test_empty_diagnostics_header_only(tmp_path):
+    text = diagnostics_csv(tmp_path, [], [], [], [])
     assert text == "t,mass,energy,q_h\n"
 
 
-def test_diagnostics_with_modes():
-    text = diagnostics_csv_text([0.0], [1.0], [2.0], [0.5],
-                                np.array([[0.1, 0.2]]))
+def test_diagnostics_with_modes(tmp_path):
+    text = diagnostics_csv(tmp_path, [0.0], [1.0], [2.0], [0.5],
+                           np.array([[0.1, 0.2]]))
     lines = text.splitlines()
     assert lines[0] == "t,mass,energy,q_h,mode_0,mode_1"
     assert lines[1].split(",")[-1] == "0.20000000000000001"
