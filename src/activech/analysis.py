@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, MeasurementError, TrackingError
+from .errors import ConfigurationError, MeasurementError, NumericalError, TrackingError
 from .mesh import NodalField, StructuredMesh
 from .model import PhaseFieldParams, derive_sharp_params
 from .output import OutputOptions
@@ -236,8 +236,8 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
     Each rung is one :func:`run_simulation` of a flat front at ``q0`` that
     records only t = 0 and ``t_end``; the rungs run serially.  The
     flat-front problem is genuinely one-dimensional, so ``dim=1`` is the
-    fast default; ``dim=2`` runs the full planar geometry.  Failures of
-    individual runs annotate their row instead of aborting the ladder.
+    fast default; ``dim=2`` runs the full planar geometry.  A run's
+    NumericalError annotates its row; a ConfigurationError propagates.
     ``max_workers`` must be ``None`` or 1; any other value raises
     ConfigurationError.
     """
@@ -262,7 +262,7 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
             err = abs(q_ref - float(record.q_h[-1]))
             if math.isnan(err):
                 note = "; ".join(record.warnings)
-        except Exception as exc:  # annotate, don't abort the ladder
+        except NumericalError as exc:  # annotate, don't abort the ladder
             note = f"{type(exc).__name__}: {exc}"
         rows.append(ConvergenceRow(epsilon=eps, h=math.nan if h_eff is None else h_eff,
                                    error=err, eoc=None, note=note))

@@ -231,6 +231,9 @@ def _cmd_modes(args) -> int:
     predicted = amplification(sharp, cfg.beta, q_for_rate, ModeIndex.of(dominant)).growth_rate
     amps = np.abs(record.mode_amps[:, dominant])
     start, stop = growth_window(record.times, amps, cfg.lengths[1])
+    if start == 0:
+        print(f"warning: mode l={dominant} shows no take-off; the fit window is the "
+              f"whole run, not the linear regime", file=sys.stderr)
     fitted = fit_growth_rate(record.times[start:stop], amps[start:stop])
     print(f"dominant mode l={dominant}; fitted rate {fitted:.4g} "
           f"vs predicted {predicted:.4g} "

@@ -252,6 +252,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     else:
         converge_epsilons = []
     converge_dim = int(_parse_scalar(_get(sections, "converge", "dim", "1")))
+    if converge_dim not in (1, 2):
+        raise ConfigurationError(f"[converge] dim: must be 1 or 2, got {converge_dim}")
 
     cfg = RunConfig(
         dim=dim, lengths=lengths, epsilon=epsilon, h=h, tau=tau, t_end=t_end,

@@ -3,6 +3,8 @@
 1D: intervals.  2D: a lattice of squares, each split into two triangles
 along the same (bottom-left to top-right) diagonal.  Nodes are ordered
 x-fastest, matching the flat layout of snapshot and checkpoint files.
+Every P1 stiffness matrix on this lattice is a weighted 5-point stencil
+(3-point in 1D), and ``stiffness_matrix`` builds it as one.
 """
 
 from __future__ import annotations
@@ -131,63 +133,52 @@ def build_mesh(dim: int, lengths, h: float) -> StructuredMesh:
 # ---------------------------------------------------------------------------
 # P1 assembly
 # ---------------------------------------------------------------------------
+#
+# On the lower triangle (a, b, c) = (0,0), (h,0), (h,h) the barycentric
+# gradients are (-1, 0)/h, (1, -1)/h and (0, 1)/h.  With area h^2/2, the
+# axis edges a-b and b-c get -1/2 and the diagonal edge a-c gets
+# grad(lambda_a) . grad(lambda_c) = 0; the upper triangle (a, c, d) is the
+# mirror image.  So diagonal edges carry no entry, and each axis edge gets
+# -c/2 from each of its one or two triangles of coefficient c.
 
-_geometry_cache: "weakref.WeakKeyDictionary[StructuredMesh, tuple]" = weakref.WeakKeyDictionary()
 _stiffness_cache: "weakref.WeakKeyDictionary[StructuredMesh, sparse.csr_matrix]" = weakref.WeakKeyDictionary()
 
 
-def element_stiffness(mesh: StructuredMesh):
-    """Per-element local stiffness blocks and their global (row, col) indices.
-
-    Returns ``(rows, cols, local)`` with ``local`` of shape
-    (n_elements, nv, nv) holding volume * grad(lambda_i) . grad(lambda_j).
-    """
-    cached = _geometry_cache.get(mesh)
-    if cached is not None:
-        return cached
-
-    elems = mesh.elements
-    if mesh.dim == 1:
-        base = np.array([[1.0, -1.0], [-1.0, 1.0]]) / mesh.h
-        local = np.broadcast_to(base, (mesh.n_elements, 2, 2))
-    else:
-        pts = mesh.coords[elems]                      # (n_el, 3, 2)
-        e1 = pts[:, 1] - pts[:, 0]
-        e2 = pts[:, 2] - pts[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        area = 0.5 * np.abs(det)
-        # gradients of the barycentric coordinates
-        grads = np.empty((mesh.n_elements, 3, 2))
-        grads[:, 1, 0] = e2[:, 1] / det
-        grads[:, 1, 1] = -e2[:, 0] / det
-        grads[:, 2, 0] = -e1[:, 1] / det
-        grads[:, 2, 1] = e1[:, 0] / det
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
-        local = np.einsum("eid,ejd->eij", grads, grads) * area[:, None, None]
-
-    nv = elems.shape[1]
-    rows = np.repeat(elems, nv, axis=1).ravel()
-    cols = np.tile(elems, (1, nv)).ravel()
-    out = (rows, cols, np.ascontiguousarray(local))
-    _geometry_cache[mesh] = out
-    return out
-
-
 def stiffness_matrix(mesh: StructuredMesh, coeff: np.ndarray | None = None) -> sparse.csr_matrix:
-    """Assembled P1 stiffness matrix, optionally weighted per element.
+    """P1 stiffness matrix of (coeff grad u, grad v), built as the lattice stencil.
 
-    ``coeff`` is a per-element scalar (e.g. an averaged mobility); ``None``
-    assembles the plain Laplacian stiffness, which is cached per mesh.
+    ``coeff`` is a per-element scalar (e.g. an averaged mobility) in the
+    order of ``mesh.elements``; ``None`` gives the plain Laplacian
+    stiffness, which is cached per mesh.  Each axis edge of weight w gets
+    -w off the diagonal; each diagonal entry is the sum of the weights of
+    its edges.  Exact zeros are not stored.
     """
     if coeff is None:
         cached = _stiffness_cache.get(mesh)
         if cached is not None:
             return cached
-    rows, cols, local = element_stiffness(mesh)
-    data = local if coeff is None else local * np.asarray(coeff)[:, None, None]
-    mat = sparse.coo_matrix(
-        (data.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    ).tocsr()
+    weights = np.ones(mesh.n_elements) if coeff is None else np.asarray(coeff, dtype=float)
+    # edge weights keyed by node stride: entry k is the edge from node k to
+    # node k + stride, or 0 where there is none
+    if mesh.dim == 1:
+        edges = {1: np.pad(weights / mesh.h, (0, 1))}
+    else:
+        n1, n2 = mesh.cells
+        lower, upper = (0.5 * weights).reshape(2, n2, n1)
+        # horizontal edge (j, i)-(j, i+1): lower[j, i] + upper[j-1, i];
+        # vertical edge (j, i)-(j+1, i): upper[j, i] + lower[j, i-1]
+        horizontal = np.pad(lower, ((0, 1), (0, 1))) + np.pad(upper, ((1, 0), (0, 1)))
+        vertical = np.pad(upper, ((0, 1), (0, 1))) + np.pad(lower, ((0, 1), (1, 0)))
+        edges = {1: horizontal.ravel(), n1 + 1: vertical.ravel()}
+    diagonal = np.zeros(mesh.n_nodes)
+    bands, offsets = [], []
+    for stride, weight in edges.items():
+        diagonal += weight
+        diagonal[stride:] += weight[:-stride]
+        bands += [-weight[:-stride]] * 2
+        offsets += [-stride, stride]
+    mat = sparse.diags([diagonal, *bands], [0, *offsets],
+                       shape=(mesh.n_nodes, mesh.n_nodes), format="csr")
     if coeff is None:
         _stiffness_cache[mesh] = mat
     return mat

@@ -284,30 +284,32 @@ def mobility_m(spec: MobilitySpec, r):
 # interface profile and quadratures
 # ---------------------------------------------------------------------------
 
-def profile_Phi0(pot: DoubleWellPotential, z):
-    """Leading-order interface profile.
+def _profile(pot: DoubleWellPotential, zmax: float):
+    """Vectorized leading-order interface profile, valid on [-zmax, zmax].
 
-    Quartic: tanh(z/sqrt(2)) in closed form.  Custom potentials: integrate
-    the first-order reduction Phi' = sqrt(2 psi(Phi)), Phi(0) = 0, and use
-    oddness for z < 0.
+    Quartic: tanh(z/sqrt(2)) in closed form.  Custom potentials: one dense
+    solve of the first-order reduction Phi' = sqrt(2 psi(Phi)), Phi(0) = 0,
+    on [0, zmax], extended to z < 0 by oddness.
     """
-    z_arr = np.asarray(z, dtype=float)
     if pot.kind == "quartic":
-        out = np.tanh(z_arr / SQRT2)
-        return out if out.ndim else float(out)
-
-    zmax = float(np.max(np.abs(z_arr))) if z_arr.size else 0.0
+        return lambda z: np.tanh(z / SQRT2)
     if zmax == 0.0:
-        out = np.zeros_like(z_arr)
-        return out if out.ndim else 0.0
+        return np.zeros_like
 
     def rhs(_z, y):
         return [math.sqrt(max(2.0 * float(pot.psi(min(y[0], 1.0))), 0.0))]
 
     sol = integrate.solve_ivp(
         rhs, (0.0, zmax), [0.0], dense_output=True, rtol=1e-10, atol=1e-12, max_step=0.1
-    )
-    out = np.sign(z_arr) * np.minimum(sol.sol(np.abs(z_arr))[0], 1.0)
+    ).sol
+    return lambda z: np.sign(z) * np.minimum(sol(np.abs(z))[0], 1.0)
+
+
+def profile_Phi0(pot: DoubleWellPotential, z):
+    """Leading-order interface profile Phi0(z); see ``_profile``."""
+    z_arr = np.asarray(z, dtype=float)
+    zmax = float(np.max(np.abs(z_arr))) if z_arr.size else 0.0
+    out = _profile(pot, zmax)(z_arr)
     return out if out.ndim else float(out)
 
 
@@ -364,15 +366,16 @@ def si_quadrature(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
     r_c in {0.5, 0.75, 0.9}.
     """
     zmax = _PROFILE_Z_MAX
+    phi0 = _profile(pot, zmax)
     breaks = [-zmax, zmax]
     if spec.r_c < 1.0:
         if pot.kind == "quartic":
             z_c = SQRT2 * math.atanh(spec.r_c)
         else:
-            z_c = optimize.brentq(lambda z: profile_Phi0(pot, z) - spec.r_c, 0.0, zmax)
+            z_c = optimize.brentq(lambda z: phi0(z) - spec.r_c, 0.0, zmax)
         breaks = [-zmax, -z_c, z_c, zmax]
     z, w = _gauss_rule(breaks)
-    return float(source_S2(spec, pot, profile_Phi0(pot, z)) @ w)
+    return float(source_S2(spec, pot, phi0(z)) @ w)
 
 
 def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:

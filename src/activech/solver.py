@@ -83,7 +83,6 @@ class StepReport:
 
     iterations: int
     residuals: list[float]
-    refactorized: bool
 
 
 class Stepper:
@@ -165,7 +164,6 @@ class Stepper:
             if rel <= tol:
                 return x
         self._lu = self._factor(S)
-        self._last_refactor = True
         x, rel = refine(self._lu)
         if rel > tol:
             raise NumericalError(
@@ -190,7 +188,6 @@ class Stepper:
 
         phi = phi_old.copy()
         mu = mu_old.copy()
-        self._last_refactor = False
         residuals = []
         converged = False
         for _ in range(cfg.newton_max + 1):
@@ -215,11 +212,7 @@ class Stepper:
                 f"Newton failed to reach {cfg.newton_tol:.1e} within "
                 f"{cfg.newton_max} iterations (last residual {residuals[-1]:.3e})",
                 step=step_index, residuals=residuals)
-        return phi, mu, StepReport(
-            iterations=len(residuals) - 1,
-            residuals=residuals,
-            refactorized=self._last_refactor,
-        )
+        return phi, mu, StepReport(iterations=len(residuals) - 1, residuals=residuals)
 
 
 def free_energy(field: NodalField, mesh: StructuredMesh, p: PhaseFieldParams) -> float:

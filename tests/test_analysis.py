@@ -233,6 +233,15 @@ def test_convergence_study_annotates_tracking_failures(quartic, monkeypatch):
     assert "tracking" in table.rows[0].note.lower()
 
 
+def test_convergence_study_propagates_configuration_errors(quartic):
+    reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
+    p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
+                            ac.MobilitySpec(1.0, 1.0))
+    # h = 0.3 does not divide L = 1: an input error, not a failed rung
+    with pytest.raises(ac.ConfigurationError, match="does not divide"):
+        ac.convergence_study(p, [1 / (4 * math.pi)], 0.01, q0=0.3, dim=1, h=0.3)
+
+
 def test_convergence_study_rejects_increasing_ladder(quartic):
     reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
     p = ac.PhaseFieldParams(0.1, 0.05, quartic, reaction, ac.MobilitySpec(1.0, 1.0))

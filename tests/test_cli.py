@@ -163,6 +163,19 @@ dim = 1
     assert (tmp_path / "conv" / "convergence_loglog.dat").exists()
 
 
+def test_converge_rejects_dim_3(tmp_path, capsys):
+    body = SIM_CFG + """
+[converge]
+epsilons = 1/(4*pi), 1/(8*pi)
+dim = 3
+"""
+    cfg = write_cfg(tmp_path, body)
+    code = main(["converge", "--config", cfg, "--out", str(tmp_path / "conv")])
+    assert code == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "conv" / "convergence.csv").exists()
+
+
 def test_si_table(tmp_path):
     out = tmp_path / "si.csv"
     code = main(["si-table", "--kplus", "1,2", "--kminus", "0",
@@ -175,8 +188,7 @@ def test_si_table(tmp_path):
     assert value == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
 
 
-def test_modes_command(tmp_path, capsys):
-    body = """
+MODES_CFG = """
 [domain]
 dim = 2
 lengths = 1, 1
@@ -202,13 +214,31 @@ stride = 5
 modes_lmax = 6
 vtk = false
 """
-    cfg = write_cfg(tmp_path, body)
+
+
+def test_modes_command(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MODES_CFG)
     code = main(["modes", "--config", cfg, "--out", str(tmp_path / "m")])
     assert code == 0
     out = capsys.readouterr().out
     assert "dominant mode l=2" in out
     lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
     assert lines[0] == "t,A0,A1,A2,A3,A4,A5,A6"
+
+
+def test_modes_warns_without_takeoff(tmp_path, capsys):
+    # with modes_lmax = 4 no mode takes off before t_end, so the fit falls
+    # back to the whole run
+    cfg = write_cfg(tmp_path, MODES_CFG.replace("modes_lmax = 6", "modes_lmax = 4"))
+    code = main(["modes", "--config", cfg, "--out", str(tmp_path / "m")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "fitted rate" in captured.out
+    dominant = captured.out.split("dominant mode l=")[1].split(";")[0]
+    assert f"warning: mode l={dominant} " in captured.err
+    assert "not the linear regime" in captured.err
+    lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
+    assert lines[0] == "t,A0,A1,A2,A3,A4"
 
 
 def test_check_passes():

@@ -163,6 +163,17 @@ dim = 1
     assert cfg.converge_dim == 1
 
 
+@pytest.mark.parametrize("dim", ["0", "3"])
+def test_converge_dim_must_be_1_or_2(dim):
+    doc = MINIMAL + f"""
+[converge]
+epsilons = 1/(4*pi)
+dim = {dim}
+"""
+    with pytest.raises(ac.ConfigurationError, match=r"\[converge\] dim"):
+        ac.parse_config(doc)
+
+
 def test_mesh_size_auto_rule():
     cfg = ac.parse_config(MINIMAL.replace("1/(4*pi)", "1/(16*pi)"))
     assert cfg.mesh_size() == pytest.approx(1 / 128)

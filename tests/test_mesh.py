@@ -1,5 +1,7 @@
 """Tests for meshes, fields and P1 assembly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,46 @@ def test_weighted_stiffness_matches_scaling():
     K = stiffness_matrix(mesh)
     K2 = stiffness_matrix(mesh, coeff=np.full(mesh.n_elements, 2.0))
     assert abs(K2 - 2.0 * K).max() < 1e-14
+
+
+def _loop_stiffness(mesh, coeff):
+    """Oracle: per-element loop assembly of coeff * volume * grad(lambda_i) . grad(lambda_j)."""
+    K = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for c, nodes in zip(coeff, mesh.elements):
+        # lambda_i(p_k) = delta_ik, so the inverse of [1, p_k] holds the
+        # barycentric coefficients column by column
+        T = np.column_stack([np.ones(len(nodes)), mesh.coords[nodes]])
+        grads = np.linalg.inv(T)[1:].T
+        volume = abs(np.linalg.det(T)) / math.factorial(mesh.dim)
+        K[np.ix_(nodes, nodes)] += c * volume * grads @ grads.T
+    return K
+
+
+@pytest.mark.parametrize("dim,lengths,h", [
+    (1, (1.0,), 1 / 16), (2, (1.0, 1.0), 1 / 8), (2, (2.0, 1.0), 1 / 8), (2, (1.0, 1.0), 0.1),
+])
+def test_stiffness_matches_loop_assembly(dim, lengths, h):
+    mesh = ac.build_mesh(dim, lengths, h)
+    coeff = np.random.default_rng(7).uniform(0.1, 3.0, mesh.n_elements)
+    oracle = _loop_stiffness(mesh, coeff)
+    K = stiffness_matrix(mesh, coeff).toarray()
+    assert np.max(np.abs(K - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    K1 = stiffness_matrix(mesh).toarray()
+    oracle1 = _loop_stiffness(mesh, np.ones(mesh.n_elements))
+    assert np.max(np.abs(K1 - oracle1)) <= 1e-14 * np.max(np.abs(oracle1))
+
+
+@pytest.mark.parametrize("dim,lengths", [(1, (1.0,)), (2, (1.0, 1.0)), (2, (2.0, 1.0))])
+def test_stiffness_stores_only_stencil_entries(dim, lengths):
+    # the diagonal edges of the 2D lattice carry no entry, stored or not
+    mesh = ac.build_mesh(dim, lengths, 1 / 8)
+    axis_edges = sum(
+        n * math.prod(m + 1 for k, m in enumerate(mesh.cells) if k != axis)
+        for axis, n in enumerate(mesh.cells))
+    coeff = np.random.default_rng(3).uniform(0.1, 3.0, mesh.n_elements)
+    for K in (stiffness_matrix(mesh), stiffness_matrix(mesh, coeff)):
+        assert K.nnz == mesh.n_nodes + 2 * axis_edges
+        assert np.all(K.data != 0.0)
 
 
 def test_element_means():

@@ -390,6 +390,26 @@ def test_si_quadrature_evaluates_source_once(quartic, monkeypatch):
     assert len(calls) <= 1
 
 
+def test_si_quadrature_custom_potential_solves_profile_once(quartic, monkeypatch):
+    # the kink search and the quadrature nodes share one profile solve
+    calls = []
+    solve_ivp = integrate.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(model.integrate, "solve_ivp", counting_solve_ivp)
+    custom = ac.DoubleWellPotential(
+        psi=quartic.psi, dpsi=quartic.dpsi, ddpsi=quartic.ddpsi,
+        ddpsi_plus=2.0, ddpsi_minus=2.0, kind="custom",
+    )
+    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4,
+                           l_coef=-0.8, r_c=0.5)
+    ac.si_quadrature(spec, custom)
+    assert calls == [(0.0, model._PROFILE_Z_MAX)]
+
+
 def test_si_closed_form_requires_rc_one(quartic):
     spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.0, k_minus=0.0, r_c=0.5)
     with pytest.raises(ac.ConfigurationError):
