@@ -4,7 +4,8 @@
 along the same (bottom-left to top-right) diagonal.  Nodes are ordered
 x-fastest, matching the flat layout of snapshot and checkpoint files.
 Every P1 stiffness matrix on this lattice is a weighted 5-point stencil
-(3-point in 1D), and ``stiffness_matrix`` builds it as one.
+(3-point in 1D): ``stencil_bands`` computes its bands, and ``band_csc``
+turns bands into SciPy's compressed format.
 """
 
 from __future__ import annotations
@@ -144,19 +145,15 @@ def build_mesh(dim: int, lengths, h: float) -> StructuredMesh:
 _stiffness_cache: "weakref.WeakKeyDictionary[StructuredMesh, sparse.csr_matrix]" = weakref.WeakKeyDictionary()
 
 
-def stiffness_matrix(mesh: StructuredMesh, coeff: np.ndarray | None = None) -> sparse.csr_matrix:
-    """P1 stiffness matrix of (coeff grad u, grad v), built as the lattice stencil.
+def stencil_bands(mesh: StructuredMesh, coeff: np.ndarray | None = None
+                  ) -> tuple[tuple[int, ...], np.ndarray]:
+    """Bands of the P1 stiffness stencil of (coeff grad u, grad v).
 
-    ``coeff`` is a per-element scalar (e.g. an averaged mobility) in the
-    order of ``mesh.elements``; ``None`` gives the plain Laplacian
-    stiffness, which is cached per mesh.  Each axis edge of weight w gets
-    -w off the diagonal; each diagonal entry is the sum of the weights of
-    its edges.  Exact zeros are not stored.
+    Returns the sorted node offsets (-1, 0, 1) in 1D, (-(n1+1), -1, 0, 1, n1+1)
+    in 2D, and ``bands`` of shape (len(offsets), n_nodes) with
+    ``bands[c, i] = A[i, i + offsets[c]]``, zero where node i has no
+    neighbour at that offset.  ``coeff`` is as in :func:`stiffness_matrix`.
     """
-    if coeff is None:
-        cached = _stiffness_cache.get(mesh)
-        if cached is not None:
-            return cached
     weights = np.ones(mesh.n_elements) if coeff is None else np.asarray(coeff, dtype=float)
     # edge weights keyed by node stride: entry k is the edge from node k to
     # node k + stride, or 0 where there is none
@@ -170,15 +167,56 @@ def stiffness_matrix(mesh: StructuredMesh, coeff: np.ndarray | None = None) -> s
         horizontal = np.pad(lower, ((0, 1), (0, 1))) + np.pad(upper, ((1, 0), (0, 1)))
         vertical = np.pad(upper, ((0, 1), (0, 1))) + np.pad(lower, ((0, 1), (1, 0)))
         edges = {1: horizontal.ravel(), n1 + 1: vertical.ravel()}
-    diagonal = np.zeros(mesh.n_nodes)
-    bands, offsets = [], []
+    offsets = (*(-s for s in reversed(edges)), 0, *edges)
+    bands = np.zeros((len(offsets), mesh.n_nodes))
+    diagonal = bands[len(edges)]
     for stride, weight in edges.items():
         diagonal += weight
         diagonal[stride:] += weight[:-stride]
-        bands += [-weight[:-stride]] * 2
-        offsets += [-stride, stride]
-    mat = sparse.diags([diagonal, *bands], [0, *offsets],
-                       shape=(mesh.n_nodes, mesh.n_nodes), format="csr")
+        bands[offsets.index(stride), :-stride] = -weight[:-stride]
+        bands[offsets.index(-stride), stride:] = -weight[:-stride]
+    return offsets, bands
+
+
+def band_csc(offsets, bands: np.ndarray) -> sparse.csr_matrix:
+    """CSC arrays of a band matrix, as the CSR matrix of its transpose.
+
+    ``bands`` is row-indexed, ``bands[c, i] = A[i, i + offsets[c]]``, and
+    the offsets are symmetric about 0.  Read column-indexed, as SciPy's DIA
+    format stores them, the reversed bands are A^T, so its CSR conversion
+    holds the CSC arrays of A; for a symmetric A, also its CSR arrays.
+    Exact zeros are not stored.
+    """
+    n = bands.shape[1]
+    return sparse.dia_matrix((bands[::-1], offsets), shape=(n, n)).tocsr()
+
+
+def band_pattern(offsets, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC ``indptr`` and ``indices`` of the band entries ``mask`` selects.
+
+    Also returns ``gather``, the position of each stored entry in the
+    flattened band array, so that ``bands.ravel()[gather]`` is the CSC
+    ``data``.  Built by :func:`band_csc` on the positions themselves.
+    """
+    positions = np.arange(1, mask.size + 1).reshape(mask.shape)
+    pattern = band_csc(offsets, np.where(mask, positions, 0))
+    return pattern.indptr, pattern.indices, pattern.data - 1
+
+
+def stiffness_matrix(mesh: StructuredMesh, coeff: np.ndarray | None = None) -> sparse.csr_matrix:
+    """P1 stiffness matrix of (coeff grad u, grad v), built as the lattice stencil.
+
+    ``coeff`` is a per-element scalar (e.g. an averaged mobility) in the
+    order of ``mesh.elements``; ``None`` gives the plain Laplacian
+    stiffness, which is cached per mesh.  Each axis edge of weight w gets
+    -w off the diagonal; each diagonal entry is the sum of the weights of
+    its edges.  Exact zeros are not stored.
+    """
+    if coeff is None:
+        cached = _stiffness_cache.get(mesh)
+        if cached is not None:
+            return cached
+    mat = band_csc(*stencil_bands(mesh, coeff))
     if coeff is None:
         _stiffness_cache[mesh] = mat
     return mat

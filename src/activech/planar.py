@@ -102,29 +102,39 @@ def mu_planar(cfg: PlanarConfig, side: str, q: float, z) -> float:
     return out if out.ndim else float(out)
 
 
-def _velocity(sharp: SharpParams, q: float) -> float:
-    return 0.5 * (
-        sharp.d_plus * sharp.m_plus * sharp.lambda_plus
-        * math.tanh(sharp.lambda_plus * q)
-        + sharp.d_minus * sharp.m_minus * sharp.lambda_minus
-        * math.tanh(sharp.lambda_minus * (sharp.length_L - q))
-        + sharp.s_interface
-    )
+def _front_velocity(sharp: SharpParams):
+    """H(q) = a tanh(lambda+ q) + b tanh(lambda- (L - q)) + c as a closure.
+
+    H is half the sum of d+ m+ lambda+ tanh(lambda+ q),
+    d- m- lambda- tanh(lambda- (L - q)) and S_I.  The factor 1/2 is a power
+    of two, so folding it into a, b and c changes no bit of H.
+    """
+    a = 0.5 * sharp.d_plus * sharp.m_plus * sharp.lambda_plus
+    b = 0.5 * sharp.d_minus * sharp.m_minus * sharp.lambda_minus
+    c = 0.5 * sharp.s_interface
+    lam_plus, lam_minus, L = sharp.lambda_plus, sharp.lambda_minus, sharp.length_L
+    tanh = math.tanh
+
+    def H(q: float) -> float:
+        return a * tanh(lam_plus * q) + b * tanh(lam_minus * (L - q)) + c
+
+    return H
 
 
 def velocity_H(cfg: PlanarConfig, q: float) -> float:
     """Right-hand side of the front ODE dq/dt = H(q)."""
     if not (0.0 < q < cfg.sharp.length_L):
         raise ValueError(f"front position must lie in (0, {cfg.sharp.length_L}), got {q}")
-    return _velocity(cfg.sharp, q)
+    return _front_velocity(cfg.sharp)(q)
 
 
 def find_stationary(cfg: PlanarConfig, tol: float = 1e-12) -> float | None:
     """Root of H by bisection; ``None`` when no sign change exists."""
+    H = _front_velocity(cfg.sharp)
     L = cfg.sharp.length_L
     delta = 1e-12 * L
     lo, hi = delta, L - delta
-    f_lo, f_hi = _velocity(cfg.sharp, lo), _velocity(cfg.sharp, hi)
+    f_lo, f_hi = H(lo), H(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -134,7 +144,7 @@ def find_stationary(cfg: PlanarConfig, tol: float = 1e-12) -> float | None:
     best_q, best_f = lo, abs(f_lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        f_mid = _velocity(cfg.sharp, mid)
+        f_mid = H(mid)
         if abs(f_mid) < best_f:
             best_q, best_f = mid, abs(f_mid)
         if abs(f_mid) < tol:
@@ -162,13 +172,13 @@ def integrate_q(cfg: PlanarConfig, output_stride: int = 1) -> PlanarTrajectory:
     """Integrate dq/dt = H(q) with the classical 4th-order one-step method.
 
     Samples the trajectory every ``output_stride`` steps (the final state is
-    always included).  If any stage leaves (0, L) the integration stops and
-    the trajectory is flagged instead of raising.
+    always included).  If a stage point or the new position leaves (0, L),
+    the integration stops and the trajectory is flagged instead of raising.
     """
     if output_stride < 1:
         raise ConfigurationError("output_stride must be >= 1")
-    sharp = cfg.sharp
-    L = sharp.length_L
+    H = _front_velocity(cfg.sharp)
+    L = cfg.sharp.length_L
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
     if abs(n_steps * dt - cfg.t_end) > 1e-9 * max(1.0, abs(cfg.t_end)):
@@ -180,16 +190,15 @@ def integrate_q(cfg: PlanarConfig, output_stride: int = 1) -> PlanarTrajectory:
     q = cfg.q0
     hit = False
     for n in range(1, n_steps + 1):
-        try:
-            k1 = _velocity(sharp, q)
-            k2 = _velocity(sharp, q + 0.5 * dt * k1)
-            k3 = _velocity(sharp, q + 0.5 * dt * k2)
-            k4 = _velocity(sharp, q + dt * k3)
-        except (ValueError, OverflowError):
-            hit = True
-            break
+        k1 = H(q)
+        q2 = q + 0.5 * dt * k1
+        k2 = H(q2)
+        q3 = q + 0.5 * dt * k2
+        k3 = H(q3)
+        q4 = q + dt * k3
+        k4 = H(q4)
         q_new = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (0.0 < q_new < L):
+        if not (0.0 < q2 < L and 0.0 < q3 < L and 0.0 < q4 < L and 0.0 < q_new < L):
             hit = True
             break
         q = q_new

@@ -193,6 +193,18 @@ def test_integrate_boundary_hit():
     assert traj.times[-1] < 10.0
 
 
+
+def test_integrate_stage_leaving_domain_is_a_boundary_hit():
+    # from q0 = 0.8 the third stage point q + dt k3 lands at 1.035, outside
+    # (0, 1), while the combined step q_new = 0.747 stays inside
+    sharp = ac.SharpParams(
+        rho_plus=400.0, rho_minus=400.0, d_plus=-1.0, d_minus=1.0,
+        lambda_plus=20.0, lambda_minus=20.0, gamma=1.0, s_interface=5.0,
+        length_L=1.0, width_Lt=1.0)
+    traj = ac.integrate_q(ac.PlanarConfig(sharp=sharp, q0=0.8, dt=0.1, t_end=0.1))
+    assert traj.boundary_hit
+    assert traj.final() == (0.0, 0.8)
+
 # ---------------------------------------------------------------------------
 # linear stability
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy import sparse
 
 import activech as ac
 from activech import solver
+from activech.mesh import element_means
 from activech.solver import PHI_BOUND_WARN, Stepper
 
 SQRT2 = math.sqrt(2.0)
@@ -229,6 +230,72 @@ def test_solver_config_rejects_nonfinite(field):
     with pytest.raises(ac.ConfigurationError, match=field):
         ac.SolverConfig(**{field: math.nan})
 
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, True, 0, "3"])
+def test_solver_config_rejects_bad_newton_max(value):
+    with pytest.raises(ac.ConfigurationError, match="newton_max"):
+        ac.SolverConfig(newton_max=value)
+
+
+@pytest.mark.parametrize("dim,lengths,h", [
+    (1, (1.0,), 1 / 32), (2, (1.0, 1.0), 1 / 16), (2, (2.0, 1.0), 1 / 8),
+])
+def test_schur_operator_matches_sparse_products(quartic, dim, lengths, h):
+    p = make_params(quartic, m_plus=2.0, m_minus=0.5)
+    beta, eps, tau = p.beta, p.epsilon, 1e-3
+    mesh = ac.build_mesh(dim, lengths, h)
+    rng = np.random.default_rng(11)
+    phi = rng.uniform(-1.2, 1.2, mesh.n_nodes)
+    ddpsi = rng.uniform(-2.0, 2.0, mesh.n_nodes)
+    coeff = np.asarray(ac.mobility_m(p.mobility, element_means(mesh, phi)))
+    op = solver.SchurOperator(mesh, p)
+    op.set_mobility(np.ones(mesh.n_elements))
+    op.assemble(np.zeros(mesh.n_nodes), 1.0)   # values are rewritten, not accumulated
+    Km = op.set_mobility(coeff)
+    S = op.assemble(ddpsi, tau)
+    # the sparse-product assembly the operator replaces
+    Km_ref = ac.stiffness_matrix(mesh, coeff)
+    K, w = ac.stiffness_matrix(mesh), mesh.lumped
+    S_ref = (sparse.diags(w / tau) + beta * eps * (Km_ref @ sparse.diags(1.0 / w) @ K)
+             + (beta / eps) * (Km_ref @ sparse.diags(ddpsi))).tocsc()
+    for got, ref in ((S, S_ref), (Km, Km_ref)):
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.max(np.abs(got.data - ref.data)) <= 1e-14 * np.max(np.abs(ref.data))
+    assert S.format == "csc" and S.nnz == S_ref.nnz
+
+
+def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
+    p = make_params(quartic, m_plus=2.0, m_minus=0.5)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    phi = ac.init_field(mesh, "flat_front", {"q0": 0.5, "modes": [2], "amplitudes": [0.02]},
+                        p.epsilon).values.copy()
+    mu = stepper.initial_mu(phi)
+    phi, mu, _ = stepper.step(phi, mu, 1)
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cs_matrix = sparse._compressed._cs_matrix
+    monkeypatch.setattr(sparse, "diags", counted("diags", sparse.diags))
+    monkeypatch.setattr(solver, "stiffness_matrix",
+                        counted("stiffness_matrix", solver.stiffness_matrix))
+    monkeypatch.setattr(cs_matrix, "__init__", counted("construction", cs_matrix.__init__))
+    monkeypatch.setattr(cs_matrix, "_matmul_sparse",
+                        counted("sparse product", cs_matrix._matmul_sparse))
+    for n in range(2, 5):
+        phi, mu, _ = stepper.step(phi, mu, n)
+    assert calls == {}
+    # the counters see what the parent's per-step assembly did
+    sparse.diags(np.ones(3), format="csr") @ stepper.K[:3, :3]
+    assert set(calls) == {"diags", "construction", "sparse product"}
 
 def test_singular_schur_raises_numerical_error(quartic):
     mesh = ac.build_mesh(1, (1.0,), 1 / 8)
