@@ -36,6 +36,11 @@ def _require_finite(spec, names, positive: bool = False):
             raise ConfigurationError(f"{name} must be {requirement}, got {value}")
 
 
+def _quartic_dpsi(r):
+    r = np.asarray(r)
+    return r * r * r - r   # ``r ** 3`` goes through libm pow, ~40x slower
+
+
 @dataclass(frozen=True)
 class DoubleWellPotential:
     """Even double-well energy density with minima at +-1.
@@ -61,7 +66,7 @@ class DoubleWellPotential:
         """The standard quartic well psi(r) = (1 - r^2)^2 / 4."""
         return cls(
             psi=lambda r: 0.25 * (1.0 - np.asarray(r) ** 2) ** 2,
-            dpsi=lambda r: np.asarray(r) ** 3 - np.asarray(r),
+            dpsi=_quartic_dpsi,
             ddpsi=lambda r: 3.0 * np.asarray(r) ** 2 - 1.0,
             ddpsi_plus=2.0,
             ddpsi_minus=2.0,

@@ -24,10 +24,21 @@ step-constant part beta eps Km W^-1 K as products of shifted bands, and
 each Newton iteration adds W/tau and the psi'' column scaling of Km and
 gathers the values into ``S.data``; no sparse matrix is constructed.
 
-SuperLU factors S with a minimum-degree column ordering on the
-pattern of A^T + A (``permc_spec="MMD_AT_PLUS_A"``).  On a 2D front at
-16 641 nodes this fills L + U 38% less than the default COLAMD ordering,
-which orders for the pattern of A^T A.
+The linear solves are mixed-precision iterative refinement (Langou et
+al. 2006; Carson & Higham 2018): SuperLU factors a float32 copy of S,
+while S, the iterate x, the residual rhs - S x and the ``linear_tol`` test
+stay in float64; only the vectors passed to and returned from the
+back-solve are cast.  Columns are ordered by minimum degree on the pattern
+of A^T + A (``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes
+L + U fill 38% less than under COLAMD, which orders for A^T A).  In
+float32 SuperLU runs in symmetric mode and prefers the diagonal pivot
+(``diag_pivot_thresh=0.01``): S has a symmetric pattern and, in the stable
+regime, a dominant diagonal.  A factorization is reused across Newton
+iterations and steps until refinement against it stalls.  The condition
+number of S grows like beta eps tau / h^4, so at large tau or fine h a
+float32 factor cannot reach ``linear_tol``: when a fresh float32
+factorization fails or stalls, the Stepper refactors in float64 and stays
+there.  Only a float64 failure is a :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -149,6 +160,8 @@ class SchurOperator:
         paths = _band_product(offs, np.abs(self._k), offs, np.abs(self._k), self._offsets)
         indptr, indices, self._gather = band_pattern(self._offsets, paths != 0.0)
         self.S = sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
+        self._S32 = sparse.csc_matrix((np.zeros(len(indices), np.float32), indices, indptr),
+                                      shape=(n, n))
 
     def set_mobility(self, coeff: np.ndarray) -> sparse.csr_matrix:
         """Take Km from per-element mobility ``coeff``; returns Km.
@@ -176,6 +189,14 @@ class SchurOperator:
         np.take(vals, self._gather, out=self.S.data)
         return self.S
 
+    def single(self) -> sparse.csc_matrix:
+        """The current S rounded to float32, on S's pattern.
+
+        Like S, one matrix whose values are rewritten on every call.
+        """
+        np.copyto(self._S32.data, self.S.data)
+        return self._S32
+
 
 class Stepper:
     """Reusable assembly and linear algebra for one (mesh, params, config)."""
@@ -187,7 +208,8 @@ class Stepper:
         self.K = stiffness_matrix(mesh)
         self.w = mesh.lumped
         self.schur = SchurOperator(mesh, params)
-        self._lu = None
+        self._lu = None        # (SuperLU, dtype of its factors)
+        self._single = True    # factor in float32; cleared for good on a float32 failure
         if mesh.h > max_mesh_size(params.epsilon) * (1.0 + 1e-12):
             warnings.warn(
                 f"mesh size h={mesh.h:g} is too coarse for epsilon={params.epsilon:g}; "
@@ -207,11 +229,23 @@ class Stepper:
 
     # -- linear algebra ---------------------------------------------------
 
-    @staticmethod
-    def _factor(S: sparse.csc_matrix):
-        """Sparse LU of S with a fill-reducing ordering for its symmetric pattern."""
+    def _factor(self, S: sparse.csc_matrix):
+        """Sparse LU of S and the dtype of its factors.
+
+        The factors are float32, in symmetric mode, until a float32
+        factorization has failed or stalled; from then on they are float64
+        with SuperLU's default threshold partial pivoting.  A matrix
+        other than the operator's S has no float32 twin and is factored in
+        float64.
+        """
+        if self._single and S is self.schur.S:
+            try:
+                return splu(self.schur.single(), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.01, options={"SymmetricMode": True}), np.float32
+            except RuntimeError:
+                self._single = False
         try:
-            return splu(S, permc_spec="MMD_AT_PLUS_A")
+            return splu(S, permc_spec="MMD_AT_PLUS_A"), np.float64
         except RuntimeError as exc:
             raise NumericalError(
                 f"LU factorization of the {S.shape[0]}x{S.shape[1]} Schur matrix "
@@ -221,21 +255,25 @@ class Stepper:
         """Solve S x = rhs to relative residual <= linear_tol.
 
         Tries the most recent factorization with iterative refinement first;
-        falls back to refactorizing S when the refinement stalls.
+        refactorizes S when the refinement stalls, and refactorizes in
+        float64 when refinement against a fresh float32 factor stalls too.
         """
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
         tol = self.cfg.linear_tol
 
-        def refine(lu):
-            x = lu.solve(rhs)
+        def refine(lu, dtype):
+            def back_solve(v):
+                return lu.solve(v.astype(dtype, copy=False)).astype(np.float64, copy=False)
+
+            x = back_solve(rhs)
             r = rhs - S @ x
             rel = float(np.linalg.norm(r)) / rhs_norm
             for _ in range(12):
                 if rel <= tol:
                     break
-                x = x + lu.solve(r)
+                x = x + back_solve(r)
                 r = rhs - S @ x
                 new_rel = float(np.linalg.norm(r)) / rhs_norm
                 if new_rel >= 0.7 * rel:
@@ -245,12 +283,16 @@ class Stepper:
             return x, rel
 
         if self._lu is not None:
-            x, rel = refine(self._lu)
+            x, rel = refine(*self._lu)
             if rel <= tol:
                 return x
         self._lu = self._factor(S)
-        x, rel = refine(self._lu)
-        if rel > tol:
+        x, rel = refine(*self._lu)
+        if not rel <= tol and self._lu[1] == np.float32:   # NaN is a stall too
+            self._single = False
+            self._lu = self._factor(S)
+            x, rel = refine(*self._lu)
+        if not rel <= tol:
             raise NumericalError(
                 f"linear solver stalled at relative residual {rel:.3e} "
                 f"(target {tol:.1e})")

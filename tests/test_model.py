@@ -57,6 +57,14 @@ def test_dpsi_finite_difference_consistency(quartic):
     assert errs[1] < 0.3 * errs[0]
 
 
+def test_quartic_dpsi_matches_power_form(quartic):
+    # r * r * r - r and r ** 3 - r differ only in rounding: at most 3 ulps of the terms
+    r = np.random.default_rng(3).uniform(-3.0, 3.0, 1000)
+    ulp = np.spacing(np.abs(r) ** 3) + np.spacing(np.abs(r))
+    assert np.max(np.abs(quartic.dpsi(r) - (r ** 3 - r)) / ulp) <= 3.0
+    assert quartic.dpsi([0.5, -2.0]).tolist() == [-0.375, -6.0]
+
+
 def test_validate_potential_clean(quartic):
     assert ac.validate_potential(quartic) == []
 

@@ -306,6 +306,18 @@ def test_singular_schur_raises_numerical_error(quartic):
         stepper._solve(S, np.ones(n))
 
 
+def test_nan_right_hand_side_raises_numerical_error(quartic):
+    # a NaN residual is a stall, never a converged solve
+    mesh = ac.build_mesh(1, (1.0,), 1 / 8)
+    stepper = Stepper(mesh, make_params(quartic), ac.SolverConfig())
+    stepper.schur.set_mobility(np.ones(mesh.n_elements))
+    S = stepper.schur.assemble(np.full(mesh.n_nodes, 2.0), 1e-3)
+    rhs = np.ones(mesh.n_nodes)
+    rhs[3] = np.nan
+    with pytest.raises(ac.NumericalError, match="relative residual nan"):
+        stepper._solve(S, rhs)
+
+
 def test_schur_lu_ordering_limits_fill(quartic, monkeypatch):
     # 2D front at 4 225 nodes: COLAMD fills L+U to ~610k nonzeros, minimum
     # degree on A^T + A to ~427k
@@ -328,6 +340,74 @@ def test_schur_lu_ordering_limits_fill(quartic, monkeypatch):
     _, _, report = stepper.step(phi, stepper.initial_mu(phi))
     assert fills and fills[0] < 500_000
     assert report.residuals[-1] < ac.SolverConfig().newton_tol
+
+
+def _front_stepper(quartic, h, tau=1e-3):
+    """Stepper and initial (phi, mu) of a mode-2 front at eps = 1/(8 pi)."""
+    eps = 1 / (8 * math.pi)
+    p = make_params(quartic, epsilon=eps, s_plus=-1.0, s_minus=1.0,
+                    rho_plus=1.0, rho_minus=1.0, l_coef=0.0)
+    mesh = ac.build_mesh(2, (1.0, 1.0), h)
+    stepper = Stepper(mesh, p, ac.SolverConfig(tau=tau))
+    phi = ac.init_field(mesh, "flat_front",
+                        {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}, eps).values.copy()
+    return stepper, phi, stepper.initial_mu(phi)
+
+
+def _spy_factor_dtypes(monkeypatch):
+    """Record the dtype of every matrix handed to SuperLU."""
+    dtypes = []
+    real = solver.splu
+
+    def spy(A, *args, **kwargs):
+        dtypes.append(A.dtype.type)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", spy)
+    return dtypes
+
+
+def test_schur_factor_is_single_precision(quartic, monkeypatch):
+    dtypes = _spy_factor_dtypes(monkeypatch)
+    stepper, phi, mu = _front_stepper(quartic, 1 / 32)
+    phi, mu, report = stepper.step(phi, mu, 1)
+    assert dtypes and set(dtypes) == {np.float32}
+    assert phi.dtype == mu.dtype == np.float64
+    assert report.residuals[-1] < ac.SolverConfig().newton_tol
+
+
+def test_float32_stall_escalates_to_float64_for_good(quartic, monkeypatch):
+    # at tau = 100 the condition number of S (~ beta eps tau / h^4) is beyond
+    # float32: refinement against a fresh float32 factor stalls near 1e-5
+    dtypes = _spy_factor_dtypes(monkeypatch)
+    stepper, phi, mu = _front_stepper(quartic, 2.0 ** -6, tau=100.0)
+    for n in range(1, 4):
+        phi, mu, report = stepper.step(phi, mu, n)
+        assert report.residuals[-1] < stepper.cfg.newton_tol
+    first64 = dtypes.index(np.float64)
+    assert first64 >= 1 and set(dtypes[:first64]) == {np.float32}
+    assert set(dtypes[first64:]) == {np.float64}
+
+
+def test_step_builds_no_sparse_matrix_on_a_refactorization(quartic, monkeypatch):
+    stepper, phi, mu = _front_stepper(quartic, 1 / 32)
+    phi, mu, _ = stepper.step(phi, mu, 1)
+    dtypes = _spy_factor_dtypes(monkeypatch)
+    constructions = []
+    cs_matrix = sparse._compressed._cs_matrix
+    real_init = cs_matrix.__init__
+
+    def counted(*args, **kwargs):
+        constructions.append(1)
+        return real_init(*args, **kwargs)
+
+    monkeypatch.setattr(cs_matrix, "__init__", counted)
+    for n in range(2, 5):
+        stepper._lu = None
+        phi, mu, _ = stepper.step(phi, mu, n)
+    # each forced factorization reads the float32 twin of S in place
+    assert len(dtypes) >= 3 and set(dtypes) == {np.float32}
+    assert constructions == []
 
 
 # ---------------------------------------------------------------------------
