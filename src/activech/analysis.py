@@ -19,6 +19,13 @@ from .output import OutputOptions
 from .planar import PlanarConfig, integrate_q
 from .solver import SolverConfig, max_mesh_size, run_simulation
 
+#: growth_window's linear regime: from GROWTH_TAKEOFF times the initial
+#: amplitude up to GROWTH_SATURATION times the transverse width.
+GROWTH_TAKEOFF = 3.0
+GROWTH_SATURATION = 0.1
+#: RK4 step of the sharp front ODE that the ladder's errors are measured against.
+REFERENCE_DT = 1e-5
+
 
 # ---------------------------------------------------------------------------
 # interface tracking
@@ -144,21 +151,20 @@ def fit_growth_rate(times, amplitudes) -> float:
     return float(slope)
 
 
-def growth_window(times, amplitudes, width_Lt: float,
-                  takeoff: float = 3.0, saturation: float = 0.1) -> tuple[int, int]:
+def growth_window(times, amplitudes, width_Lt: float) -> tuple[int, int]:
     """Fit window for the linear regime of one mode amplitude.
 
-    Starts once |A| exceeds ``takeoff`` times its initial magnitude and ends
-    before |A| exceeds ``saturation * width_Lt``.  Returns (start, stop)
-    indices, stop exclusive.
+    Starts once |A| exceeds ``GROWTH_TAKEOFF`` times its initial magnitude
+    and ends before |A| exceeds ``GROWTH_SATURATION * width_Lt``.  Returns
+    (start, stop) indices, stop exclusive.
     """
     amps = np.abs(np.asarray(amplitudes, dtype=float))
     if amps.size < 2:
         raise MeasurementError("not enough samples for a growth window")
     a0 = amps[0]
-    above = np.nonzero(amps > takeoff * a0)[0]
+    above = np.nonzero(amps > GROWTH_TAKEOFF * a0)[0]
     start = int(above[0]) if above.size else 0
-    saturated = np.nonzero(amps > saturation * width_Lt)[0]
+    saturated = np.nonzero(amps > GROWTH_SATURATION * width_Lt)[0]
     stop = int(saturated[0]) if saturated.size else amps.size
     if stop - start < 2:
         start, stop = 0, min(amps.size, max(2, stop))
@@ -217,10 +223,10 @@ def eoc_sequence(epsilons, errors) -> list[float | None]:
 
 
 def reference_front_position(p: PhaseFieldParams, length_L: float, width_Lt: float,
-                             q0: float, t_end: float, dt: float = 1e-5) -> float:
-    """Sharp-interface front position from the planar ODE."""
+                             q0: float, t_end: float) -> float:
+    """Sharp-interface front position from the planar ODE, at step ``REFERENCE_DT``."""
     sharp = derive_sharp_params(p, length_L, width_Lt)
-    traj = integrate_q(PlanarConfig(sharp=sharp, q0=q0, dt=dt, t_end=t_end))
+    traj = integrate_q(PlanarConfig(sharp=sharp, q0=q0, dt=REFERENCE_DT, t_end=t_end))
     if traj.boundary_hit:
         raise ConfigurationError("reference front left the domain before t_end")
     return float(traj.q[-1])
@@ -229,14 +235,14 @@ def reference_front_position(p: PhaseFieldParams, length_L: float, width_Lt: flo
 def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
                       lengths=(1.0, 1.0), q0: float = 0.3, dim: int = 1,
                       cfg: SolverConfig | None = None, h: float | None = None,
-                      reference_dt: float = 1e-5, max_workers: int | None = None,
-                      ) -> ConvergenceTable:
+                      max_workers: int | None = None) -> ConvergenceTable:
     """Front-position error against the sharp ODE for a decreasing epsilon ladder.
 
     Each rung is one :func:`run_simulation` of a flat front at ``q0`` that
-    records only t = 0 and ``t_end``; the rungs run serially.  The
-    flat-front problem is genuinely one-dimensional, so ``dim=1`` is the
-    fast default; ``dim=2`` runs the full planar geometry.  A run's
+    records only t = 0 and ``t_end``, against the planar ODE at step
+    ``REFERENCE_DT``; the rungs run serially.  The flat-front problem is
+    genuinely one-dimensional, so ``dim=1`` is the fast default; ``dim=2``
+    runs the full planar geometry.  A run's
     NumericalError annotates its row; a ConfigurationError propagates.
     ``max_workers`` must be ``None`` or 1; any other value raises
     ConfigurationError.
@@ -249,7 +255,7 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
         raise ConfigurationError("epsilon ladder must be strictly decreasing")
     cfg = cfg or SolverConfig()
     q_ref = reference_front_position(p, lengths[0], lengths[1] if len(lengths) > 1 else 1.0,
-                                     q0, t_end, dt=reference_dt)
+                                     q0, t_end)
     outputs = OutputOptions(stride=max(1, int(round(t_end / cfg.tau))))
 
     rows = []

@@ -242,17 +242,21 @@ def _cmd_modes(args) -> int:
     return 0
 
 
-def _parse_sweep(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _parse_sweep(flag: str, text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag}: expected comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_si_table(args) -> int:
     pot = DoubleWellPotential.quartic()
     rows = []
-    for r_c in _parse_sweep(args.rc):
-        for k_plus in _parse_sweep(args.kplus):
-            for k_minus in _parse_sweep(args.kminus):
-                for l_coef in _parse_sweep(args.lcoef):
+    for r_c in _parse_sweep("--rc", args.rc):
+        for k_plus in _parse_sweep("--kplus", args.kplus):
+            for k_minus in _parse_sweep("--kminus", args.kminus):
+                for l_coef in _parse_sweep("--lcoef", args.lcoef):
                     spec = ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=k_plus,
                                         k_minus=k_minus, l_coef=l_coef, r_c=r_c)
                     rows.append((k_plus, k_minus, l_coef, r_c,

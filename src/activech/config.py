@@ -25,36 +25,27 @@ from .model import (
 )
 
 _EPS_SYMBOLIC = re.compile(r"^\s*1\s*/\s*\(\s*([0-9]*\.?[0-9]+)\s*\*\s*pi\s*\)\s*$")
+_BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
 def parse_epsilon(text: str) -> float:
     """Accepts a float literal or the symbolic form '1/(k*pi)'."""
     match = _EPS_SYMBOLIC.match(text)
-    if match:
-        return 1.0 / (float(match.group(1)) * math.pi)
     try:
-        return float(text)
-    except ValueError:
+        return 1.0 / (float(match.group(1)) * math.pi) if match else float(text)
+    except (ValueError, ZeroDivisionError):
         raise ConfigurationError(f"cannot parse epsilon value {text!r}") from None
 
 
 def _parse_scalar(text: str) -> Any:
     text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    if _EPS_SYMBOLIC.match(text):
-        return parse_epsilon(text)
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    if text.lower() in _BOOLEANS:
+        return _BOOLEANS[text.lower()]
+    for read in (int, parse_epsilon):
+        try:
+            return read(text)
+        except (ValueError, ConfigurationError):
+            pass
     return text
 
 
@@ -141,13 +132,29 @@ _KNOWN = {
 }
 
 
-def _get(sections: dict, section: str, key: str, default=None, required=False):
+# what a typed field accepts, and how it is read
+_NUMBER = ("a number or 1/(k*pi)", parse_epsilon)
+_NUMBERS = ("comma-separated numbers",
+            lambda text: tuple(parse_epsilon(part) for part in text.split(",") if part.strip()))
+_INTEGER = ("an integer", int)
+_BOOLEAN = ("one of true/false/yes/no/on/off", lambda text: _BOOLEANS[text.lower()])
+
+
+def _get(sections: dict, section: str, key: str, kind=None, default=None, required=False):
+    """``[section] key`` read as ``kind`` (text if None), or ``default`` when absent."""
     value = sections.get(section, {}).get(key)
     if value is None:
         if required:
             raise ConfigurationError(f"[{section}] {key}: required field is missing")
         return default
-    return value
+    if kind is None:
+        return value
+    expected, read = kind
+    try:
+        return read(value.strip())
+    except (ValueError, LookupError, ConfigurationError):
+        raise ConfigurationError(
+            f"[{section}] {key}: expected {expected}, got {value!r}") from None
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -183,30 +190,25 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             if key not in _KNOWN[section]:
                 raise ConfigurationError(f"[{section}] {key}: unknown field")
 
-    dim = int(_parse_scalar(_get(sections, "domain", "dim", "1")))
+    dim = _get(sections, "domain", "dim", _INTEGER, 1)
     if dim not in (1, 2):
         raise ConfigurationError(f"[domain] dim: must be 1 or 2, got {dim}")
-    raw_lengths = _get(sections, "domain", "lengths", "1")
-    lengths = _parse_value(raw_lengths)
-    if not isinstance(lengths, tuple):
-        lengths = (lengths,)
-    lengths = tuple(float(x) for x in lengths)
+    lengths = _get(sections, "domain", "lengths", _NUMBERS, (1.0,))
     if len(lengths) == 1 and dim == 2:
         lengths = (lengths[0], lengths[0])
     if len(lengths) != dim:
         raise ConfigurationError(f"[domain] lengths: expected {dim} entries, got {lengths}")
 
-    epsilon = parse_epsilon(_get(sections, "discretization", "epsilon", required=True))
-    h_raw = _get(sections, "discretization", "h")
-    h = float(_parse_scalar(h_raw)) if h_raw is not None else None
-    tau = float(_parse_scalar(_get(sections, "discretization", "tau", "1e-3")))
-    t_end = float(_parse_scalar(_get(sections, "discretization", "t_end", "1.0")))
+    epsilon = _get(sections, "discretization", "epsilon", _NUMBER, required=True)
+    h = _get(sections, "discretization", "h", _NUMBER)
+    tau = _get(sections, "discretization", "tau", _NUMBER, 1e-3)
+    t_end = _get(sections, "discretization", "t_end", _NUMBER, 1.0)
 
     phys = sections.get("physics", {})
-    beta = float(_parse_scalar(_get(sections, "physics", "beta", required=True)))
-    s_plus = float(_parse_scalar(_get(sections, "physics", "s_plus", required=True)))
-    s_minus = float(_parse_scalar(_get(sections, "physics", "s_minus", required=True)))
-    potential = str(_get(sections, "physics", "potential", "quartic")).strip()
+    beta = _get(sections, "physics", "beta", _NUMBER, required=True)
+    s_plus = _get(sections, "physics", "s_plus", _NUMBER, required=True)
+    s_minus = _get(sections, "physics", "s_minus", _NUMBER, required=True)
+    potential = _get(sections, "physics", "potential", default="quartic").strip()
     pot = DoubleWellPotential.quartic()  # other kinds: rejected by make_potential below
 
     has_rho = "rho_plus" in phys or "rho_minus" in phys
@@ -215,17 +217,17 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         raise ConfigurationError(
             "[physics]: give either rho_plus/rho_minus or k_plus/k_minus, not both")
     if has_k:
-        k_plus = float(_parse_scalar(_get(sections, "physics", "k_plus", "0")))
-        k_minus = float(_parse_scalar(_get(sections, "physics", "k_minus", "0")))
+        k_plus = _get(sections, "physics", "k_plus", _NUMBER, 0.0)
+        k_minus = _get(sections, "physics", "k_minus", _NUMBER, 0.0)
         rho_plus, rho_minus = rho_from_rates(beta, pot, k_plus, k_minus)
     else:
-        rho_plus = float(_parse_scalar(_get(sections, "physics", "rho_plus", "1")))
-        rho_minus = float(_parse_scalar(_get(sections, "physics", "rho_minus", "1")))
+        rho_plus = _get(sections, "physics", "rho_plus", _NUMBER, 1.0)
+        rho_minus = _get(sections, "physics", "rho_minus", _NUMBER, 1.0)
         k_plus, k_minus = relaxation_rates(beta, pot, rho_plus, rho_minus)
-    l_coef = float(_parse_scalar(_get(sections, "physics", "l_coef", "0")))
-    r_c = float(_parse_scalar(_get(sections, "physics", "r_c", "1")))
-    m_plus = float(_parse_scalar(_get(sections, "physics", "m_plus", "1")))
-    m_minus = float(_parse_scalar(_get(sections, "physics", "m_minus", "1")))
+    l_coef = _get(sections, "physics", "l_coef", _NUMBER, 0.0)
+    r_c = _get(sections, "physics", "r_c", _NUMBER, 1.0)
+    m_plus = _get(sections, "physics", "m_plus", _NUMBER, 1.0)
+    m_minus = _get(sections, "physics", "m_minus", _NUMBER, 1.0)
 
     init = dict(sections.get("initial", {}))
     init_kind = str(init.pop("kind", "")).strip()
@@ -233,25 +235,16 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         raise ConfigurationError("[initial] kind: required field is missing")
     init_params = {key: _parse_value(raw) for key, raw in init.items()}
 
-    seed = int(_parse_scalar(_get(sections, "output", "seed", "0")))
+    seed = _get(sections, "output", "seed", _INTEGER, 0)
     directory = _get(sections, "output", "directory")
-    stride = int(_parse_scalar(_get(sections, "output", "stride", "10")))
-    vtk = bool(_parse_scalar(_get(sections, "output", "vtk", "true")))
-    checkpoint = bool(_parse_scalar(_get(sections, "output", "checkpoint", "true")))
-    track_line = float(_parse_scalar(_get(sections, "output", "track_line", "0")))
-    lmax_raw = _get(sections, "output", "modes_lmax")
-    modes_lmax = int(_parse_scalar(lmax_raw)) if lmax_raw is not None else None
+    stride = _get(sections, "output", "stride", _INTEGER, 10)
+    vtk = _get(sections, "output", "vtk", _BOOLEAN, True)
+    checkpoint = _get(sections, "output", "checkpoint", _BOOLEAN, True)
+    track_line = _get(sections, "output", "track_line", _NUMBER, 0.0)
+    modes_lmax = _get(sections, "output", "modes_lmax", _INTEGER)
 
-    conv_raw = _get(sections, "converge", "epsilons")
-    if conv_raw is not None:
-        parsed = _parse_value(conv_raw)
-        if not isinstance(parsed, tuple):
-            parsed = (parsed,)
-        converge_epsilons = [parse_epsilon(str(p)) if isinstance(p, str) else float(p)
-                             for p in parsed]
-    else:
-        converge_epsilons = []
-    converge_dim = int(_parse_scalar(_get(sections, "converge", "dim", "1")))
+    converge_epsilons = list(_get(sections, "converge", "epsilons", _NUMBERS, ()))
+    converge_dim = _get(sections, "converge", "dim", _INTEGER, 1)
     if converge_dim not in (1, 2):
         raise ConfigurationError(f"[converge] dim: must be 1 or 2, got {converge_dim}")
 

@@ -152,7 +152,8 @@ def stencil_bands(mesh: StructuredMesh, coeff: np.ndarray | None = None
     Returns the sorted node offsets (-1, 0, 1) in 1D, (-(n1+1), -1, 0, 1, n1+1)
     in 2D, and ``bands`` of shape (len(offsets), n_nodes) with
     ``bands[c, i] = A[i, i + offsets[c]]``, zero where node i has no
-    neighbour at that offset.  ``coeff`` is as in :func:`stiffness_matrix`.
+    neighbour at that offset.  ``coeff`` holds one weight per element of
+    ``mesh.elements`` (e.g. an averaged mobility); ``None`` means all ones.
     """
     weights = np.ones(mesh.n_elements) if coeff is None else np.asarray(coeff, dtype=float)
     # edge weights keyed by node stride: entry k is the edge from node k to
@@ -203,22 +204,16 @@ def band_pattern(offsets, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return pattern.indptr, pattern.indices, pattern.data - 1
 
 
-def stiffness_matrix(mesh: StructuredMesh, coeff: np.ndarray | None = None) -> sparse.csr_matrix:
-    """P1 stiffness matrix of (coeff grad u, grad v), built as the lattice stencil.
+def stiffness_matrix(mesh: StructuredMesh) -> sparse.csr_matrix:
+    """P1 stiffness matrix of (grad u, grad v), built as the lattice stencil.
 
-    ``coeff`` is a per-element scalar (e.g. an averaged mobility) in the
-    order of ``mesh.elements``; ``None`` gives the plain Laplacian
-    stiffness, which is cached per mesh.  Each axis edge of weight w gets
-    -w off the diagonal; each diagonal entry is the sum of the weights of
-    its edges.  Exact zeros are not stored.
+    Cached per mesh.  Each axis edge of weight w gets -w off the diagonal;
+    each diagonal entry is the sum of the weights of its edges.  Exact
+    zeros are not stored.
     """
-    if coeff is None:
-        cached = _stiffness_cache.get(mesh)
-        if cached is not None:
-            return cached
-    mat = band_csc(*stencil_bands(mesh, coeff))
-    if coeff is None:
-        _stiffness_cache[mesh] = mat
+    mat = _stiffness_cache.get(mesh)
+    if mat is None:
+        mat = _stiffness_cache[mesh] = band_csc(*stencil_bands(mesh))
     return mat
 
 

@@ -21,6 +21,9 @@ SQRT2 = math.sqrt(2.0)
 
 #: Surface-tension constant of the quartic double well, 2*sqrt(2)/3.
 GAMMA_QUARTIC = 2.0 * SQRT2 / 3.0
+#: validate_potential's sample count on [-1.5, 1.5] and its rounding tolerance.
+POTENTIAL_CHECK_SAMPLES = 257
+POTENTIAL_CHECK_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +474,16 @@ def nondimensionalize(p: PhaseFieldParams, sharp: SharpParams) -> NondimReport:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_potential(pot: DoubleWellPotential, n_samples: int = 257, tol: float = 1e-12):
+def validate_potential(pot: DoubleWellPotential):
     """Numerically check the standing assumptions on a double well.
 
     Returns a list of violation messages (empty when the potential passes).
-    The tolerance applies to the quartic; custom potentials evaluated
-    through the same checks may need a looser one.
+    The tolerance ``POTENTIAL_CHECK_TOL`` is set for the quartic; a custom
+    potential evaluated through the same checks may violate it by rounding.
     """
+    tol = POTENTIAL_CHECK_TOL
     problems = []
-    r = np.linspace(-1.5, 1.5, n_samples)
+    r = np.linspace(-1.5, 1.5, POTENTIAL_CHECK_SAMPLES)
     psi = np.asarray(pot.psi(r), dtype=float)
     if np.any(psi < -tol):
         problems.append("psi takes negative values")

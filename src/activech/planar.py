@@ -16,6 +16,8 @@ from .errors import ConfigurationError
 from .model import SharpParams, _require_finite
 
 _NORMALIZED_TOL = 1e-12
+#: Bisection for the stationary front stops once |H| falls below STATIONARY_TOL.
+STATIONARY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ def velocity_H(cfg: PlanarConfig, q: float) -> float:
     return _front_velocity(cfg.sharp)(q)
 
 
-def find_stationary(cfg: PlanarConfig, tol: float = 1e-12) -> float | None:
-    """Root of H by bisection; ``None`` when no sign change exists."""
+def find_stationary(cfg: PlanarConfig) -> float | None:
+    """Root of H to ``STATIONARY_TOL`` by bisection; ``None`` without a sign change."""
     H = _front_velocity(cfg.sharp)
     L = cfg.sharp.length_L
     delta = 1e-12 * L
@@ -147,7 +149,7 @@ def find_stationary(cfg: PlanarConfig, tol: float = 1e-12) -> float | None:
         f_mid = H(mid)
         if abs(f_mid) < best_f:
             best_q, best_f = mid, abs(f_mid)
-        if abs(f_mid) < tol:
+        if abs(f_mid) < STATIONARY_TOL:
             return mid
         if f_lo * f_mid <= 0.0:
             hi = mid

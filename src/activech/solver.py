@@ -25,26 +25,27 @@ each Newton iteration adds W/tau and the psi'' column scaling of Km and
 gathers the values into ``S.data``; no sparse matrix is constructed.
 
 The linear solves are mixed-precision iterative refinement (Langou et
-al. 2006; Carson & Higham 2018): SuperLU factors a float32 copy of S,
-while S, the iterate x, the residual rhs - S x and the ``linear_tol`` test
-stay in float64; only the vectors passed to and returned from the
-back-solve are cast.  Columns are ordered by minimum degree on the pattern
-of A^T + A (``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes
-L + U fill 38% less than under COLAMD, which orders for A^T A).  In
-float32 SuperLU runs in symmetric mode and prefers the diagonal pivot
+al. 2006; Carson & Higham 2018), owned by :class:`SchurOperator`, which
+factors only its own S: SuperLU factors a float32 copy of S, while S, the
+iterate x, the residual rhs - S x and the ``LINEAR_TOL`` test stay in
+float64; only the vectors passed to and returned from the back-solve are
+cast.  Columns are ordered by minimum degree on the pattern of A^T + A
+(``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes L + U fill
+38% less than under COLAMD, which orders for A^T A).  In float32 SuperLU
+runs in symmetric mode and prefers the diagonal pivot
 (``diag_pivot_thresh=0.01``): S has a symmetric pattern and, in the stable
 regime, a dominant diagonal.  A factorization is reused across Newton
 iterations and steps until refinement against it stalls.  The condition
 number of S grows like beta eps tau / h^4, so at large tau or fine h a
-float32 factor cannot reach ``linear_tol``: when a fresh float32
-factorization fails or stalls, the Stepper refactors in float64 and stays
-there.  Only a float64 failure is a :class:`NumericalError`.
+float32 factor cannot reach ``LINEAR_TOL``: when a fresh float32
+factorization fails or stalls, the operator refactors in float64 and stays
+there.  Only a float64 failure is a :class:`NumericalError`.  The
+:class:`Stepper` runs the Newton iteration on top.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -56,7 +57,7 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigurationError, NumericalError, ResolutionWarning, StepFailureError
 from .mesh import (NodalField, StructuredMesh, band_pattern, build_mesh, element_means,
                    stencil_bands, stiffness_matrix)
-from .model import PhaseFieldParams, mobility_m, source_S
+from .model import PhaseFieldParams, _require_finite, mobility_m, source_S
 from .initial import init_field
 
 PHI_BOUND_WARN = 1.1
@@ -72,21 +73,20 @@ def max_mesh_size(epsilon: float) -> float:
     return math.pi * epsilon / INTERFACE_CELLS
 
 
+#: Newton stops once the residual of the coupled system is below NEWTON_TOL,
+#: and fails after NEWTON_MAX iterations.
+NEWTON_TOL = 1e-9
+NEWTON_MAX = 20
+#: Relative residual every linear solve reaches.
+LINEAR_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tau: float = 1e-3
-    newton_tol: float = 1e-9
-    newton_max: int = 20
-    linear_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("tau", "newton_tol", "linear_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-        n = self.newton_max
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-            raise ConfigurationError(f"newton_max must be an integer >= 1, got {n!r}")
+        _require_finite(self, ("tau",), positive=True)
 
 
 @dataclass
@@ -136,6 +136,7 @@ class SchurOperator:
     S is one too, with the pairwise sums of their offsets.  Its CSC pattern
     and the gather index from the band array into ``S.data`` are built on
     the first :meth:`set_mobility`; afterwards only values are written.
+    :meth:`solve` solves with the current S against a reused factorization.
     """
 
     def __init__(self, mesh: StructuredMesh, params: PhaseFieldParams):
@@ -145,6 +146,8 @@ class SchurOperator:
         self._c1 = params.beta * params.epsilon
         self._c2 = params.beta / params.epsilon
         self.S = None
+        self._lu = None        # SuperLU of the current S or of an earlier one
+        self._single = True    # factor in float32; cleared for good on a float32 failure
 
     def _build(self):
         self._k_offsets, self._k = stencil_bands(self.mesh)
@@ -189,17 +192,78 @@ class SchurOperator:
         np.take(vals, self._gather, out=self.S.data)
         return self.S
 
-    def single(self) -> sparse.csc_matrix:
-        """The current S rounded to float32, on S's pattern.
+    def _factor(self):
+        """Sparse LU of S into ``_lu``, in float32 exactly while ``_single`` is set.
 
-        Like S, one matrix whose values are rewritten on every call.
+        A float32 failure clears ``_single`` for good; a float64 failure is
+        a :class:`NumericalError`.
         """
-        np.copyto(self._S32.data, self.S.data)
-        return self._S32
+        self._lu = None
+        if self._single:
+            np.copyto(self._S32.data, self.S.data)
+            try:
+                self._lu = splu(self._S32, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+                return
+            except RuntimeError:
+                self._single = False
+        try:
+            self._lu = splu(self.S, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise NumericalError(
+                f"LU factorization of the {self.S.shape[0]}x{self.S.shape[1]} Schur matrix "
+                f"failed: {exc}") from exc
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve S x = rhs to relative residual <= LINEAR_TOL.
+
+        Tries the most recent factorization with iterative refinement first;
+        refactorizes S when the refinement stalls, and refactorizes in
+        float64 when refinement against a fresh float32 factor stalls too.
+        """
+        rhs_norm = float(np.linalg.norm(rhs))
+        if rhs_norm == 0.0:
+            return np.zeros_like(rhs)
+        tol, S = LINEAR_TOL, self.S
+
+        def refine():
+            lu, dtype = self._lu, np.float32 if self._single else np.float64
+
+            def back_solve(v):
+                return lu.solve(v.astype(dtype, copy=False)).astype(np.float64, copy=False)
+
+            x = back_solve(rhs)
+            r = rhs - S @ x
+            rel = float(np.linalg.norm(r)) / rhs_norm
+            for _ in range(12):
+                if rel <= tol:
+                    break
+                x = x + back_solve(r)
+                r = rhs - S @ x
+                rel, old_rel = float(np.linalg.norm(r)) / rhs_norm, rel
+                if rel >= 0.7 * old_rel:
+                    break
+            return x, rel
+
+        if self._lu is not None:
+            x, rel = refine()
+            if rel <= tol:
+                return x
+        self._factor()
+        x, rel = refine()
+        if not rel <= tol and self._single:   # NaN is a stall too
+            self._single = False
+            self._factor()
+            x, rel = refine()
+        if not rel <= tol:
+            raise NumericalError(
+                f"linear solver stalled at relative residual {rel:.3e} "
+                f"(target {tol:.1e})")
+        return x
 
 
 class Stepper:
-    """Reusable assembly and linear algebra for one (mesh, params, config)."""
+    """Newton iteration of one time step for one (mesh, params, config)."""
 
     def __init__(self, mesh: StructuredMesh, params: PhaseFieldParams, config: SolverConfig):
         self.mesh = mesh
@@ -208,8 +272,6 @@ class Stepper:
         self.K = stiffness_matrix(mesh)
         self.w = mesh.lumped
         self.schur = SchurOperator(mesh, params)
-        self._lu = None        # (SuperLU, dtype of its factors)
-        self._single = True    # factor in float32; cleared for good on a float32 failure
         if mesh.h > max_mesh_size(params.epsilon) * (1.0 + 1e-12):
             warnings.warn(
                 f"mesh size h={mesh.h:g} is too coarse for epsilon={params.epsilon:g}; "
@@ -227,83 +289,12 @@ class Stepper:
         beta, eps = self.p.beta, self.p.epsilon
         return beta * eps * (self.K @ phi) / self.w + (beta / eps) * self.p.potential.dpsi(phi)
 
-    # -- linear algebra ---------------------------------------------------
-
-    def _factor(self, S: sparse.csc_matrix):
-        """Sparse LU of S and the dtype of its factors.
-
-        The factors are float32, in symmetric mode, until a float32
-        factorization has failed or stalled; from then on they are float64
-        with SuperLU's default threshold partial pivoting.  A matrix
-        other than the operator's S has no float32 twin and is factored in
-        float64.
-        """
-        if self._single and S is self.schur.S:
-            try:
-                return splu(self.schur.single(), permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.01, options={"SymmetricMode": True}), np.float32
-            except RuntimeError:
-                self._single = False
-        try:
-            return splu(S, permc_spec="MMD_AT_PLUS_A"), np.float64
-        except RuntimeError as exc:
-            raise NumericalError(
-                f"LU factorization of the {S.shape[0]}x{S.shape[1]} Schur matrix "
-                f"failed: {exc}") from exc
-
-    def _solve(self, S: sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs to relative residual <= linear_tol.
-
-        Tries the most recent factorization with iterative refinement first;
-        refactorizes S when the refinement stalls, and refactorizes in
-        float64 when refinement against a fresh float32 factor stalls too.
-        """
-        rhs_norm = float(np.linalg.norm(rhs))
-        if rhs_norm == 0.0:
-            return np.zeros_like(rhs)
-        tol = self.cfg.linear_tol
-
-        def refine(lu, dtype):
-            def back_solve(v):
-                return lu.solve(v.astype(dtype, copy=False)).astype(np.float64, copy=False)
-
-            x = back_solve(rhs)
-            r = rhs - S @ x
-            rel = float(np.linalg.norm(r)) / rhs_norm
-            for _ in range(12):
-                if rel <= tol:
-                    break
-                x = x + back_solve(r)
-                r = rhs - S @ x
-                new_rel = float(np.linalg.norm(r)) / rhs_norm
-                if new_rel >= 0.7 * rel:
-                    rel = new_rel
-                    break
-                rel = new_rel
-            return x, rel
-
-        if self._lu is not None:
-            x, rel = refine(*self._lu)
-            if rel <= tol:
-                return x
-        self._lu = self._factor(S)
-        x, rel = refine(*self._lu)
-        if not rel <= tol and self._lu[1] == np.float32:   # NaN is a stall too
-            self._single = False
-            self._lu = self._factor(S)
-            x, rel = refine(*self._lu)
-        if not rel <= tol:
-            raise NumericalError(
-                f"linear solver stalled at relative residual {rel:.3e} "
-                f"(target {tol:.1e})")
-        return x
-
     # -- Newton step ------------------------------------------------------
 
     def step(self, phi_old: np.ndarray, mu_old: np.ndarray, step_index: int = 0):
         """Advance one step; returns (phi, mu, StepReport)."""
-        p, cfg = self.p, self.cfg
-        beta, eps, tau = p.beta, p.epsilon, cfg.tau
+        p = self.p
+        beta, eps, tau = p.beta, p.epsilon, self.cfg.tau
         w, K = self.w, self.K
         # lumped quadrature of m(phi^n) grad mu . grad chi gives per-element
         # vertex-averaged mobility against piecewise-constant gradients
@@ -316,27 +307,26 @@ class Stepper:
         mu = mu_old.copy()
         residuals = []
         converged = False
-        for _ in range(cfg.newton_max + 1):
+        for _ in range(NEWTON_MAX + 1):
             r1 = (w / tau) * phi + Km @ mu - rhs_mass
             r2 = beta * eps * (K @ phi) + (beta / eps) * w * p.potential.dpsi(phi) - w * mu
             res = math.hypot(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
             residuals.append(res)
-            if res < cfg.newton_tol:
+            if res < NEWTON_TOL:
                 converged = True
                 break
-            if len(residuals) > cfg.newton_max:
+            if len(residuals) > NEWTON_MAX:
                 break
             ddpsi = np.asarray(p.potential.ddpsi(phi))
-            S = self.schur.assemble(ddpsi, tau)
-            rhs = -(r1 + Km @ (r2 / w))
-            dphi = self._solve(S, rhs)
+            self.schur.assemble(ddpsi, tau)
+            dphi = self.schur.solve(-(r1 + Km @ (r2 / w)))
             dmu = (beta * eps * (K @ dphi) + (beta / eps) * w * ddpsi * dphi + r2) / w
             phi = phi + dphi
             mu = mu + dmu
         if not converged:
             raise StepFailureError(
-                f"Newton failed to reach {cfg.newton_tol:.1e} within "
-                f"{cfg.newton_max} iterations (last residual {residuals[-1]:.3e})",
+                f"Newton failed to reach {NEWTON_TOL:.1e} within "
+                f"{NEWTON_MAX} iterations (last residual {residuals[-1]:.3e})",
                 step=step_index, residuals=residuals)
         return phi, mu, StepReport(iterations=len(residuals) - 1, residuals=residuals)
 

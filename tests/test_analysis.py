@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import activech as ac
+from activech import solver
 from activech.analysis import zero_crossings
 
 SQRT2 = math.sqrt(2.0)
@@ -208,13 +209,14 @@ def test_convergence_study_micro(quartic):
     assert table.rows[0].h == pytest.approx(1 / 32)
 
 
-def test_convergence_study_annotates_failures(quartic):
+def test_convergence_study_annotates_failures(quartic, monkeypatch):
     reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
     p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
                             ac.MobilitySpec(1.0, 1.0))
-    # sabotage: newton_max=1 cannot converge, rows must be annotated
-    table = ac.convergence_study(p, [1 / (4 * math.pi)], 0.01, q0=0.3, dim=1,
-                                 cfg=ac.SolverConfig(newton_max=1, newton_tol=1e-14))
+    # sabotage: one Newton iteration cannot converge, rows must be annotated
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-14)
+    table = ac.convergence_study(p, [1 / (4 * math.pi)], 0.01, q0=0.3, dim=1)
     assert math.isnan(table.rows[0].error)
     assert "StepFailure" in table.rows[0].note
 

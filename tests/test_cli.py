@@ -109,6 +109,21 @@ def test_simulate_nonfinite_parameter_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [
+    "discretization.tau=abc", "domain.lengths=1, abc", "output.stride=nan",
+    "output.stride=inf", "output.modes_lmax=nan", "converge.dim=nan", "domain.dim=1.7",
+    "output.stride=2.5", "output.seed=1.5", "output.vtk=maybe",
+])
+def test_simulate_malformed_field_exit_code(tmp_path, capsys, override):
+    # a value of the wrong type is rejected, never truncated or coerced
+    cfg = write_cfg(tmp_path, SIM_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--set", override, "--out", str(out)]) == 1
+    section, key = override.split("=")[0].split(".")
+    assert f"configuration error: [{section}] {key}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 SHARP_FLAGS = ["--beta", "0.1", "--splus", "-1", "--sminus", "1"]
 
 
@@ -186,6 +201,13 @@ def test_si_table(tmp_path):
     assert len(lines) == 5
     value = float(lines[1].split(",")[-1])
     assert value == pytest.approx(math.sqrt(2) / 2, abs=1e-9)
+
+
+def test_si_table_rejects_malformed_sweep(tmp_path, capsys):
+    out = tmp_path / "si.csv"
+    assert main(["si-table", "--kplus", "abc", "--out", str(out)]) == 1
+    assert "configuration error: --kplus" in capsys.readouterr().err
+    assert not out.exists()
 
 
 MODES_CFG = """

@@ -174,6 +174,14 @@ dim = {dim}
         ac.parse_config(doc)
 
 
+def test_typed_fields_accept_their_literals():
+    cfg = ac.parse_config(MINIMAL, overrides={
+        "output.vtk": "off", "output.checkpoint": "Yes", "output.stride": "5",
+        "output.seed": "+7", "domain.lengths": "2", "discretization.h": "1/(64*pi)"})
+    assert (cfg.vtk, cfg.checkpoint, cfg.stride, cfg.seed) == (False, True, 5, 7)
+    assert cfg.lengths == (2.0,) and cfg.h == 1 / (64 * math.pi)
+
+
 def test_mesh_size_auto_rule():
     cfg = ac.parse_config(MINIMAL.replace("1/(4*pi)", "1/(16*pi)"))
     assert cfg.mesh_size() == pytest.approx(1 / 128)

@@ -184,13 +184,15 @@ def test_run_emits_expected_files(tmp_path, quartic):
     assert ckpt.step == 20
 
 
-def test_manifest_written_before_compute_and_on_crash(tmp_path, quartic):
+def test_manifest_written_before_compute_and_on_crash(tmp_path, quartic, monkeypatch):
+    monkeypatch.setattr(solver, "NEWTON_MAX", 1)
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-15)
     p = small_params(quartic)
     out = tmp_path / "crash"
     opts = OutputOptions(directory=str(out), stride=10)
     with pytest.raises(ac.StepFailureError):
         ac.run_simulation(p, (1, (1.0,), 1 / 32), ("flat_front", {"q0": 0.3}),
-                          ac.SolverConfig(newton_max=1, newton_tol=1e-15),
+                          ac.SolverConfig(),
                           0.02, outputs=opts)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["end_time"] is None
