@@ -188,14 +188,13 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args)
     if not cfg.converge_epsilons:
         raise ConfigurationError("[converge] epsilons: required for the converge command")
+    if cfg.init_kind != "flat_front":
+        raise ConfigurationError("[initial] kind: converge needs a flat_front initial front")
     p = cfg.phase_field_params()
-    q0 = cfg.init_params.get("q0")
-    if q0 is None:
-        raise ConfigurationError("[initial] q0: converge needs a flat_front initial front")
     table = convergence_study(
         p, cfg.converge_epsilons, cfg.t_end, lengths=cfg.lengths if cfg.dim == 2
         else (cfg.lengths[0], cfg.lengths[0]),
-        q0=float(q0), dim=cfg.converge_dim,
+        q0=cfg.init_params["q0"], dim=cfg.converge_dim,
         cfg=SolverConfig(tau=cfg.tau), h=cfg.h,
     )
     out_dir = Path(cfg.directory or ".")
@@ -217,7 +216,10 @@ def _cmd_modes(args) -> int:
     cfg = _load_config(args)
     if cfg.dim != 2:
         raise ConfigurationError("modes requires a 2D configuration")
-    record = _run_configured(cfg, cfg.modes_lmax if cfg.modes_lmax is not None else 10)
+    modes_lmax = cfg.modes_lmax if cfg.modes_lmax is not None else 10
+    if modes_lmax < 1:
+        raise ConfigurationError(f"[output] modes_lmax: modes needs at least 1, got {modes_lmax}")
+    record = _run_configured(cfg, modes_lmax)
     if record.mode_amps is None:
         raise NumericalError("mode extraction produced no data")
     l_max = record.mode_amps.shape[1] - 1

@@ -4,6 +4,12 @@ Sections: [domain], [discretization], [physics], [initial], [output],
 plus [converge] for ladder studies.  Exactly one of the rho pair or the
 K pair may be given; the other is derived through rho = K / (beta psi''),
 with defaults m = rho = r_c = 1 and L = 0.
+
+[initial] holds a ``kind`` and fields of that kind, each with the type and
+default that :data:`activech.initial.KINDS` gives it: a number (a float or
+1/(k*pi)), an integer, comma-separated numbers or integers, a point "x, y"
+or points "x, y; x, y".  There is no [output] seed (the field seed is
+[initial] seed) and no [physics] potential (the potential is the quartic).
 """
 
 from __future__ import annotations
@@ -12,9 +18,9 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Any
 
 from .errors import ConfigurationError
+from .initial import KINDS, resolve_initial
 from .model import (
     DoubleWellPotential,
     MobilitySpec,
@@ -35,27 +41,6 @@ def parse_epsilon(text: str) -> float:
         return 1.0 / (float(match.group(1)) * math.pi) if match else float(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigurationError(f"cannot parse epsilon value {text!r}") from None
-
-
-def _parse_scalar(text: str) -> Any:
-    text = text.strip()
-    if text.lower() in _BOOLEANS:
-        return _BOOLEANS[text.lower()]
-    for read in (int, parse_epsilon):
-        try:
-            return read(text)
-        except (ValueError, ConfigurationError):
-            pass
-    return text
-
-
-def _parse_value(text: str) -> Any:
-    """Scalar, comma-separated tuple, or semicolon-separated tuple list."""
-    if ";" in text:
-        return [_parse_value(part) for part in text.split(";") if part.strip()]
-    if "," in text:
-        return tuple(_parse_scalar(part) for part in text.split(",") if part.strip())
-    return _parse_scalar(text)
 
 
 @dataclass
@@ -79,10 +64,8 @@ class RunConfig:
     r_c: float
     m_plus: float
     m_minus: float
-    potential: str
     init_kind: str
     init_params: dict
-    seed: int
     directory: str | None
     stride: int
     vtk: bool
@@ -92,18 +75,11 @@ class RunConfig:
     converge_epsilons: list[float] = field(default_factory=list)
     converge_dim: int = 1
 
-    def make_potential(self) -> DoubleWellPotential:
-        if self.potential == "quartic":
-            return DoubleWellPotential.quartic()
-        raise ConfigurationError(
-            f"potential kind {self.potential!r} is not available from configuration; "
-            "custom potentials are a library-level feature")
-
     def phase_field_params(self) -> PhaseFieldParams:
         return PhaseFieldParams(
             beta=self.beta,
             epsilon=self.epsilon,
-            potential=self.make_potential(),
+            potential=DoubleWellPotential.quartic(),
             reaction=ReactionSpec(self.s_plus, self.s_minus, self.k_plus,
                                   self.k_minus, self.l_coef, self.r_c),
             mobility=MobilitySpec(self.m_plus, self.m_minus),
@@ -115,29 +91,40 @@ class RunConfig:
         return self.h if self.h is not None else auto_mesh_size(self.epsilon)
 
     def as_manifest_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
+        return {key: list(value) if isinstance(value, tuple) else value
+                for key, value in self.__dict__.items()}
 
 
 _KNOWN = {
     "domain": {"dim", "lengths"},
     "discretization": {"epsilon", "h", "tau", "t_end"},
     "physics": {"beta", "s_plus", "s_minus", "rho_plus", "rho_minus", "k_plus",
-                "k_minus", "l_coef", "r_c", "m_plus", "m_minus", "potential"},
-    "output": {"directory", "stride", "vtk", "checkpoint", "track_line",
-               "modes_lmax", "seed"},
+                "k_minus", "l_coef", "r_c", "m_plus", "m_minus"},
+    "output": {"directory", "stride", "vtk", "checkpoint", "track_line", "modes_lmax"},
     "converge": {"epsilons", "dim"},
 }
 
 
+def _items(read, sep=","):
+    """A reader of ``sep``-separated values, each read by ``read``."""
+    return lambda text: tuple(read(part) for part in text.split(sep) if part.strip())
+
+
+def _point(text: str) -> tuple[float, float]:
+    x, y = _items(parse_epsilon)(text)  # ValueError unless exactly two
+    return x, y
+
+
 # what a typed field accepts, and how it is read
 _NUMBER = ("a number or 1/(k*pi)", parse_epsilon)
-_NUMBERS = ("comma-separated numbers",
-            lambda text: tuple(parse_epsilon(part) for part in text.split(",") if part.strip()))
+_NUMBERS = ("comma-separated numbers", _items(parse_epsilon))
 _INTEGER = ("an integer", int)
 _BOOLEAN = ("one of true/false/yes/no/on/off", lambda text: _BOOLEANS[text.lower()])
+# the field types of initial.KINDS
+_INITIAL_TYPES = {"number": _NUMBER, "integer": _INTEGER, "numbers": _NUMBERS,
+                  "integers": ("comma-separated integers", _items(int)),
+                  "point": ("two comma-separated numbers x, y", _point),
+                  "points": ("points x, y separated by ';'", _items(_point, ";"))}
 
 
 def _get(sections: dict, section: str, key: str, kind=None, default=None, required=False):
@@ -169,12 +156,8 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed configuration: {exc}") from None
 
-    sections: dict[str, dict[str, Any]] = {}
-    for section in parser.sections():
-        name = section.lower()
-        sections[name] = {}
-        for key, raw in parser.items(section):
-            sections[name][key.lower()] = raw
+    sections = {section.lower(): {key.lower(): raw for key, raw in parser.items(section)}
+                for section in parser.sections()}
     for dotted, raw in (overrides or {}).items():
         if "." not in dotted:
             raise ConfigurationError(f"override {dotted!r} must be 'section.key'")
@@ -208,8 +191,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     beta = _get(sections, "physics", "beta", _NUMBER, required=True)
     s_plus = _get(sections, "physics", "s_plus", _NUMBER, required=True)
     s_minus = _get(sections, "physics", "s_minus", _NUMBER, required=True)
-    potential = _get(sections, "physics", "potential", default="quartic").strip()
-    pot = DoubleWellPotential.quartic()  # other kinds: rejected by make_potential below
+    pot = DoubleWellPotential.quartic()
 
     has_rho = "rho_plus" in phys or "rho_minus" in phys
     has_k = "k_plus" in phys or "k_minus" in phys
@@ -229,13 +211,14 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     m_plus = _get(sections, "physics", "m_plus", _NUMBER, 1.0)
     m_minus = _get(sections, "physics", "m_minus", _NUMBER, 1.0)
 
-    init = dict(sections.get("initial", {}))
-    init_kind = str(init.pop("kind", "")).strip()
-    if not init_kind:
-        raise ConfigurationError("[initial] kind: required field is missing")
-    init_params = {key: _parse_value(raw) for key, raw in init.items()}
+    init_kind = _get(sections, "initial", "kind", required=True).strip()
+    types = {name: _INITIAL_TYPES[type_]
+             for name, (type_, _) in KINDS.get(init_kind, {}).items()}
+    # an unknown kind or field arrives as text, and resolve_initial rejects it
+    init_params = resolve_initial(init_kind, {
+        key: _get(sections, "initial", key, types.get(key))
+        for key in sections.get("initial", {}) if key != "kind"})
 
-    seed = _get(sections, "output", "seed", _INTEGER, 0)
     directory = _get(sections, "output", "directory")
     stride = _get(sections, "output", "stride", _INTEGER, 10)
     vtk = _get(sections, "output", "vtk", _BOOLEAN, True)
@@ -253,12 +236,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
         beta=beta, s_plus=s_plus, s_minus=s_minus,
         rho_plus=rho_plus, rho_minus=rho_minus, k_plus=k_plus, k_minus=k_minus,
         l_coef=l_coef, r_c=r_c, m_plus=m_plus, m_minus=m_minus,
-        potential=potential, init_kind=init_kind, init_params=init_params,
-        seed=seed, directory=directory, stride=stride, vtk=vtk,
-        checkpoint=checkpoint, track_line=track_line, modes_lmax=modes_lmax,
+        init_kind=init_kind, init_params=init_params, directory=directory, stride=stride,
+        vtk=vtk, checkpoint=checkpoint, track_line=track_line, modes_lmax=modes_lmax,
         converge_epsilons=converge_epsilons, converge_dim=converge_dim,
     )
     cfg.phase_field_params()  # validate physics eagerly
-    if "seed" not in init_params and init_kind in ("random_spinodal", "flat_front"):
-        init_params.setdefault("seed", seed)
     return cfg

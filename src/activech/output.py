@@ -144,6 +144,8 @@ class OutputOptions:
     def __post_init__(self):
         if self.stride < 1:
             raise ConfigurationError("output stride must be >= 1")
+        if self.modes_lmax is not None and self.modes_lmax < 0:
+            raise ConfigurationError(f"modes_lmax must be >= 0, got {self.modes_lmax}")
         _require_finite(self, ("track_line",))
 
 

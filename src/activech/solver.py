@@ -384,6 +384,8 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     opts = outputs if outputs is not None else outmod.OutputOptions()
     mesh = mesh_spec if isinstance(mesh_spec, StructuredMesh) else build_mesh(*mesh_spec)
+    if opts.track_interface and mesh.dim == 2 and not 0.0 <= opts.track_line <= mesh.lengths[1]:
+        raise ConfigurationError(f"track_line={opts.track_line} outside [0, {mesh.lengths[1]}]")
     if isinstance(init_spec, NodalField):
         phi0 = init_spec
         if phi0.mesh is not mesh:

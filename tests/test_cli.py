@@ -112,7 +112,9 @@ def test_simulate_nonfinite_parameter_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "discretization.tau=abc", "domain.lengths=1, abc", "output.stride=nan",
     "output.stride=inf", "output.modes_lmax=nan", "converge.dim=nan", "domain.dim=1.7",
-    "output.stride=2.5", "output.seed=1.5", "output.vtk=maybe",
+    "output.stride=2.5", "initial.seed=1.5", "output.vtk=maybe", "initial.q0=abc",
+    "initial.q0=yes", "initial.n_random_modes=2.7", "initial.modes=1.5",
+    "initial.amplitudes=abc",
 ])
 def test_simulate_malformed_field_exit_code(tmp_path, capsys, override):
     # a value of the wrong type is rejected, never truncated or coerced
@@ -121,6 +123,32 @@ def test_simulate_malformed_field_exit_code(tmp_path, capsys, override):
     assert main(["simulate", "--config", cfg, "--set", override, "--out", str(out)]) == 1
     section, key = override.split("=")[0].split(".")
     assert f"configuration error: [{section}] {key}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SIM_2D = {"dim = 1": "dim = 2", "lengths = 1\n": "lengths = 1, 1\n"}
+DISK_2D = {**SIM_2D,
+           "kind = flat_front\nq0 = 0.3": "kind = disk\ncenter = 0.5, 0.5\nr0 = 0.2"}
+
+
+@pytest.mark.parametrize("command, edits, override", [
+    ("simulate", {}, "initial.amplitude=0.3"),
+    ("simulate", DISK_2D, "initial.center=0.5"),
+    ("simulate", DISK_2D, "initial.center=0.5, 0.5, 0.5"),
+    ("simulate", {"kind = flat_front\nq0 = 0.3": "kind = random_spinodal\nbound = 0.05"},
+     "initial.bound=inf"),
+    ("simulate", {}, "output.modes_lmax=-3"),
+    ("modes", SIM_2D, "output.modes_lmax=0"),
+    ("simulate", SIM_2D, "output.track_line=5"),
+])
+def test_invalid_field_is_a_configuration_error(tmp_path, capsys, command, edits, override):
+    body = SIM_CFG
+    for old, new in edits.items():
+        body = body.replace(old, new)
+    cfg = write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--set", override, "--out", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
 

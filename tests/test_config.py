@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import activech as ac
@@ -115,7 +116,7 @@ value = 0
 
 
 def test_unsupported_potential_kind():
-    with pytest.raises(ac.ConfigurationError, match="cubic"):
+    with pytest.raises(ac.ConfigurationError, match=r"\[physics\] potential: unknown field"):
         ac.parse_config(MINIMAL, overrides={"physics.potential": "cubic"})
 
 
@@ -152,6 +153,30 @@ r0 = 0.25
     assert cfg.lengths == (2.0, 1.0)
 
 
+@pytest.mark.parametrize("kind, body, raw", [
+    ("flat_front", "q0 = 0.5\nmodes = 2\namplitudes = 0.02",
+     {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}),
+    ("flat_front", "q0 = 0.5\nn_random_modes = 3\nseed = 4",
+     {"q0": 0.5, "n_random_modes": 3, "seed": 4}),
+    ("perturbed_disk", "center = 0.5, 0.5\nr0 = 0.25", {"center": (0.5, 0.5), "r0": 0.25}),
+    ("random_spinodal", "bound = 0.05", {"bound": 0.05}),
+    ("three_disks", "centers = 0.3, 0.3; 0.7, 0.6\nradii = 0.1, 0.2",
+     {"centers": [(0.3, 0.3), (0.7, 0.6)], "radii": [0.1, 0.2]}),
+])
+def test_initial_defaults_from_the_kind_table(kind, body, raw):
+    doc = MINIMAL.replace("kind = flat_front\nq0 = 0.3", f"kind = {kind}\n{body}")
+    cfg = ac.parse_config(doc + "\n[domain]\ndim = 2\nlengths = 1, 1\n")
+    fields = ac.initial.KINDS[kind]
+    assert cfg.init_params.keys() == fields.keys()
+    for name, (_, default) in fields.items():
+        if name not in raw:
+            assert cfg.init_params[name] == default, name
+    # the resolved dict and the raw one give the same field, bit for bit
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    resolved = ac.init_field(mesh, kind, cfg.init_params, cfg.epsilon).values
+    assert np.array_equal(resolved, ac.init_field(mesh, kind, raw, cfg.epsilon).values)
+
+
 def test_converge_section():
     doc = MINIMAL + """
 [converge]
@@ -177,8 +202,8 @@ dim = {dim}
 def test_typed_fields_accept_their_literals():
     cfg = ac.parse_config(MINIMAL, overrides={
         "output.vtk": "off", "output.checkpoint": "Yes", "output.stride": "5",
-        "output.seed": "+7", "domain.lengths": "2", "discretization.h": "1/(64*pi)"})
-    assert (cfg.vtk, cfg.checkpoint, cfg.stride, cfg.seed) == (False, True, 5, 7)
+        "initial.seed": "+7", "domain.lengths": "2", "discretization.h": "1/(64*pi)"})
+    assert (cfg.vtk, cfg.checkpoint, cfg.stride, cfg.init_params["seed"]) == (False, True, 5, 7)
     assert cfg.lengths == (2.0,) and cfg.h == 1 / (64 * math.pi)
 
 

@@ -105,6 +105,12 @@ def test_init_field_errors():
         ac.init_field(mesh, "disk", {"center": (0.1, 0.5), "r0": 0.3}, 0.1)
     with pytest.raises(ac.ConfigurationError):
         ac.init_field(mesh, "flat_front", {"q0": 1.5}, 0.1)
+    # the kind table's checks apply to Python callers too
+    for kind, params in (("flat_front", {"q0": 0.5, "amplitude": 0.1}), ("disk", {"r0": 0.2}),
+                         ("random_spinodal", {"bound": math.inf}),
+                         ("three_disks", {"centers": [(0.5, math.nan)], "radii": [0.1]})):
+        with pytest.raises(ac.ConfigurationError, match=r"\[initial\]"):
+            ac.init_field(mesh, kind, params, 0.1)
     mesh1 = ac.build_mesh(1, (1.0,), 0.25)
     with pytest.raises(ac.ConfigurationError):
         ac.init_field(mesh1, "flat_front",
