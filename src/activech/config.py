@@ -10,6 +10,7 @@ default that :data:`activech.initial.KINDS` gives it: a number (a float or
 1/(k*pi)), an integer, comma-separated numbers or integers, a point "x, y"
 or points "x, y; x, y".  There is no [output] seed (the field seed is
 [initial] seed) and no [physics] potential (the potential is the quartic).
+An inline comment starts with '#' only, since ';' separates points.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     ``overrides`` maps dotted 'section.key' names to raw string values and
     wins over the file (the CLI's flag-over-file rule).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -244,37 +244,37 @@ def interp_G(k: int, r: float, r_c: float, pot: DoubleWellPotential) -> float:
 # reaction source
 # ---------------------------------------------------------------------------
 
+def _source_branches(spec: ReactionSpec, pot: DoubleWellPotential, r):
+    """(S1, S2) at ``r`` from one clip of r/r_c: G_k are ``_g_scaled``'s, G_1 computed once."""
+    r = np.asarray(r, dtype=float)
+    rc = spec.r_c
+    s = np.clip(r / rc, -1.0, 1.0)
+    g1 = _g1_hat(s)
+    s2_hat = (-spec.k_minus * (rc * _g2_hat(s, pot)) - spec.k_plus * (-rc * _g2_hat(-s, pot))
+              + spec.l_coef * _g4_hat(s, pot) - spec.k_plus * (rc - 1.0) * g1
+              - spec.k_minus * (1.0 - rc) * (1.0 - g1))
+    above, below = r >= rc, r <= -rc
+    s1 = np.where(above, spec.s_plus,
+                  np.where(below, spec.s_minus, spec.s_minus + g1 * (spec.s_plus - spec.s_minus)))
+    s2 = np.where(above, -spec.k_plus * (r - 1.0),
+                  np.where(below, -spec.k_minus * (r + 1.0), s2_hat))
+    return tuple(out if out.ndim else float(out) for out in (s1, s2))
+
+
 def source_S1(spec: ReactionSpec, pot: DoubleWellPotential, r):
     """Slow source term: interpolates S- to S+ across the interface."""
-    r = np.asarray(r, dtype=float)
-    interior = spec.s_minus + _g_scaled(1, r, spec.r_c, pot) * (spec.s_plus - spec.s_minus)
-    out = np.where(r >= spec.r_c, spec.s_plus, np.where(r <= -spec.r_c, spec.s_minus, interior))
-    return out if out.ndim else float(out)
+    return _source_branches(spec, pot, r)[0]
 
 
 def source_S2(spec: ReactionSpec, pot: DoubleWellPotential, r):
     """Fast source term: affine relaxation outside, C^1 interpolation inside."""
-    r = np.asarray(r, dtype=float)
-    rc = spec.r_c
-    g1 = _g_scaled(1, r, rc, pot)
-    s2_hat = (
-        -spec.k_minus * _g_scaled(2, r, rc, pot)
-        - spec.k_plus * _g_scaled(3, r, rc, pot)
-        + spec.l_coef * _g_scaled(4, r, rc, pot)
-        - spec.k_plus * (rc - 1.0) * g1
-        - spec.k_minus * (1.0 - rc) * (1.0 - g1)
-    )
-    out = np.where(
-        r >= rc,
-        -spec.k_plus * (r - 1.0),
-        np.where(r <= -rc, -spec.k_minus * (r + 1.0), s2_hat),
-    )
-    return out if out.ndim else float(out)
+    return _source_branches(spec, pot, r)[1]
 
 
 def source_S(spec: ReactionSpec, pot: DoubleWellPotential, epsilon: float, r):
     """Composed source S_eps(r) = S1(r) + S2(r)/eps."""
-    return source_S1(spec, pot, r) + source_S2(spec, pot, r) / epsilon
+    s1, s2 = _source_branches(spec, pot, r)
+    return s1 + s2 / epsilon
 
 
 # ---------------------------------------------------------------------------

@@ -24,17 +24,20 @@ step-constant part beta eps Km W^-1 K as products of shifted bands, and
 each Newton iteration adds W/tau and the psi'' column scaling of Km and
 gathers the values into ``S.data``; no sparse matrix is constructed.
 
-The linear solves are mixed-precision iterative refinement (Langou et
-al. 2006; Carson & Higham 2018), owned by :class:`SchurOperator`, which
-factors only its own S: SuperLU factors a float32 copy of S, while S, the
-iterate x, the residual rhs - S x and the ``LINEAR_TOL`` test stay in
-float64; only the vectors passed to and returned from the back-solve are
-cast.  Columns are ordered by minimum degree on the pattern of A^T + A
-(``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes L + U fill
-38% less than under COLAMD, which orders for A^T A).  In float32 SuperLU
-runs in symmetric mode and prefers the diagonal pivot
+The linear solves are owned by :class:`SchurOperator`, which factors only
+its own S.  In 1D S is pentadiagonal and its LU stays banded (at 257
+nodes, 1 784 L + U nonzeros against S's 1 279), so S is factored fresh
+in float64 on every Newton iteration.  In 2D L + U fills several times
+S, and the solves are mixed-precision iterative refinement (Langou et al.
+2006; Carson & Higham 2018): SuperLU factors a float32 copy of S, while
+S, the iterate x, the residual rhs - S x and the ``LINEAR_TOL`` test stay
+in float64; only the vectors passed to and returned from the back-solve
+are cast.  Columns are ordered by minimum degree on the pattern
+of A^T + A (``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes
+L + U fill 38% less than under COLAMD, which orders for A^T A).  In float32
+SuperLU runs in symmetric mode and prefers the diagonal pivot
 (``diag_pivot_thresh=0.01``): S has a symmetric pattern and, in the stable
-regime, a dominant diagonal.  A factorization is reused across Newton
+regime, a dominant diagonal.  In 2D a factorization is reused across Newton
 iterations and steps until refinement against it stalls.  The condition
 number of S grows like beta eps tau / h^4, so at large tau or fine h a
 float32 factor cannot reach ``LINEAR_TOL``: when a fresh float32
@@ -147,7 +150,8 @@ class SchurOperator:
         self._c2 = params.beta / params.epsilon
         self.S = None
         self._lu = None        # SuperLU of the current S or of an earlier one
-        self._single = True    # factor in float32; cleared for good on a float32 failure
+        self._reuse = mesh.dim > 1    # in 1D, factor fresh in float64 (see module docstring)
+        self._single = self._reuse    # factor in float32; cleared for good on a float32 failure
 
     def _build(self):
         self._k_offsets, self._k = stencil_bands(self.mesh)
@@ -169,10 +173,13 @@ class SchurOperator:
     def set_mobility(self, coeff: np.ndarray) -> sparse.csr_matrix:
         """Take Km from per-element mobility ``coeff``; returns Km.
 
-        Km is one matrix whose values are rewritten on every call.
+        Km is one matrix whose values are rewritten whenever ``coeff`` changes.
         """
         if self.S is None:
             self._build()
+        elif np.array_equal(coeff, self._coeff):
+            return self.Km
+        self._coeff = np.array(coeff)
         offs = self._k_offsets
         _, self._km = stencil_bands(self.mesh, coeff)
         np.take(self._km, self._km_gather, out=self.Km.data)
@@ -217,8 +224,9 @@ class SchurOperator:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to relative residual <= LINEAR_TOL.
 
-        Tries the most recent factorization with iterative refinement first;
-        refactorizes S when the refinement stalls, and refactorizes in
+        In 1D, factors S fresh in float64 (S is pentadiagonal; its LU stays banded).
+        In 2D, tries the most recent factorization with iterative refinement
+        first; refactorizes S when the refinement stalls, and refactorizes in
         float64 when refinement against a fresh float32 factor stalls too.
         """
         rhs_norm = float(np.linalg.norm(rhs))
@@ -245,7 +253,7 @@ class SchurOperator:
                     break
             return x, rel
 
-        if self._lu is not None:
+        if self._reuse and self._lu is not None:
             x, rel = refine()
             if rel <= tol:
                 return x

@@ -152,6 +152,24 @@ def test_invalid_field_is_a_configuration_error(tmp_path, capsys, command, edits
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edits, message", [
+    # ';' separates points, so two centers do not match one radius
+    ({**SIM_2D, "kind = flat_front\nq0 = 0.3":
+      "kind = three_disks\ncenters = 0.25, 0.25 ; 0.75, 0.75\nradii = 0.1"},
+     "configuration error"),
+    # ';' starts no comment, so a note after a number is a malformed number
+    ({"q0 = 0.3": "q0 = 0.5 ; note"}, "configuration error: [initial] q0: expected"),
+], ids=["points", "number"])
+def test_semicolon_in_a_config_file_is_never_a_comment(tmp_path, capsys, edits, message):
+    body = SIM_CFG
+    for old, new in edits.items():
+        body = body.replace(old, new)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 SHARP_FLAGS = ["--beta", "0.1", "--splus", "-1", "--sminus", "1"]
 
 

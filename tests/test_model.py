@@ -172,6 +172,29 @@ def test_source_vectorized_matches_scalar(quartic):
     assert np.max(np.abs(vec - scal)) < 1e-13
 
 
+@pytest.mark.parametrize("r_c", [1.0, 0.7])
+@pytest.mark.parametrize("l_coef", [0.0, 0.5])
+def test_source_is_s1_plus_s2_over_eps_bit_for_bit(quartic, r_c, l_coef):
+    spec = ac.ReactionSpec(s_plus=-1.0, s_minus=4.0, k_plus=0.2, k_minus=0.02,
+                           l_coef=l_coef, r_c=r_c)
+    eps = 1 / (8 * math.pi)
+    r = np.concatenate([np.linspace(-1.4, 1.4, 57), [r_c, -r_c, 1.0, -1.0]])
+    s1, s2 = ac.source_S1(spec, quartic, r), ac.source_S2(spec, quartic, r)
+    assert np.array_equal(ac.source_S(spec, quartic, eps, r), s1 + s2 / eps)
+    # the interior branches against G_k, each evaluated on its own
+    g = {k: model._g_scaled(k, r, r_c, quartic) for k in (1, 2, 3, 4)}
+    inside = np.abs(r) < r_c
+    s1_ref = spec.s_minus + g[1] * (spec.s_plus - spec.s_minus)
+    s2_ref = (-spec.k_minus * g[2] - spec.k_plus * g[3] + spec.l_coef * g[4]
+              - spec.k_plus * (r_c - 1.0) * g[1] - spec.k_minus * (1.0 - r_c) * (1.0 - g[1]))
+    assert np.array_equal(s1[inside], s1_ref[inside])
+    assert np.array_equal(s2[inside], s2_ref[inside])
+    for x in (r_c, -r_c, 1.0, -1.0, 0.3):
+        got = ac.source_S(spec, quartic, eps, x)
+        assert type(got) is float
+        assert got == ac.source_S1(spec, quartic, x) + ac.source_S2(spec, quartic, x) / eps
+
+
 @pytest.mark.parametrize("field", ["s_plus", "s_minus", "k_plus", "k_minus", "l_coef", "r_c"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_reaction_spec_rejects_nonfinite(field, value):

@@ -299,19 +299,29 @@ def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
     sparse.diags(np.ones(3), format="csr") @ stepper.K[:3, :3]
     assert set(calls) == {"diags", "construction", "sparse product"}
 
-def test_singular_schur_raises_numerical_error(quartic, monkeypatch):
-    # a singular S fails in float32, then in float64, and only that is an error
+def _singular_schur_solve(quartic, monkeypatch, dim, lengths):
+    """Factor dtypes of a solve with S = 0, which must raise a NumericalError."""
     dtypes = _spy_factor_dtypes(monkeypatch)
-    mesh = ac.build_mesh(1, (1.0,), 1 / 8)
-    stepper = Stepper(mesh, make_params(quartic), ac.SolverConfig())
-    schur = stepper.schur
+    mesh = ac.build_mesh(dim, lengths, 1 / 8)
+    schur = solver.SchurOperator(mesh, make_params(quartic))
     schur.set_mobility(np.ones(mesh.n_elements))
     schur.assemble(np.full(mesh.n_nodes, 2.0), 1e-3)
     schur.S.data[:] = 0.0
     n = mesh.n_nodes
     with pytest.raises(ac.NumericalError, match=f"{n}x{n}"):
         schur.solve(np.ones(n))
+    return dtypes
+
+
+def test_singular_schur_raises_numerical_error(quartic, monkeypatch):
+    # in 2D a singular S fails in float32, then in float64, and only that is an error
+    dtypes = _singular_schur_solve(quartic, monkeypatch, 2, (1.0, 1.0))
     assert dtypes == [np.float32, np.float64]
+
+
+def test_singular_schur_raises_numerical_error_1d(quartic, monkeypatch):
+    # in 1D the only factorization is in float64
+    assert _singular_schur_solve(quartic, monkeypatch, 1, (1.0,)) == [np.float64]
 
 
 def test_nan_right_hand_side_raises_numerical_error(quartic):
@@ -362,17 +372,106 @@ def _front_stepper(quartic, h, tau=1e-3):
     return stepper, phi, stepper.initial_mu(phi)
 
 
-def _spy_factor_dtypes(monkeypatch):
-    """Record the dtype of every matrix handed to SuperLU."""
+class _CountingLU:
+    """A SuperLU factor that appends to ``solves`` on each back-solve."""
+
+    def __init__(self, lu, solves):
+        self._lu, self._solves = lu, solves
+
+    def solve(self, v):
+        self._solves.append(v.dtype.type)
+        return self._lu.solve(v)
+
+
+def _spy_factor_dtypes(monkeypatch, solves=None):
+    """Record the dtype of every matrix handed to SuperLU, and each back-solve in ``solves``."""
     dtypes = []
     real = solver.splu
 
     def spy(A, *args, **kwargs):
         dtypes.append(A.dtype.type)
-        return real(A, *args, **kwargs)
+        lu = real(A, *args, **kwargs)
+        return lu if solves is None else _CountingLU(lu, solves)
 
     monkeypatch.setattr(solver, "splu", spy)
     return dtypes
+
+
+def test_1d_factors_fresh_in_float64_on_every_newton_iteration(quartic, monkeypatch):
+    solves = []
+    dtypes = _spy_factor_dtypes(monkeypatch, solves)
+    p = make_params(quartic)
+    mesh = ac.build_mesh(1, (1.0,), 1 / 64)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    phi = ac.init_field(mesh, "flat_front", {"q0": 0.3}, p.epsilon).values.copy()
+    mu = stepper.initial_mu(phi)
+    iterations = 0
+    for n in range(1, 6):
+        phi, mu, report = stepper.step(phi, mu, n)
+        iterations += report.iterations
+    assert iterations >= 5
+    assert len(dtypes) == len(solves) == iterations
+    assert set(dtypes) == set(solves) == {np.float64}
+
+
+def test_2d_reuses_a_float32_factor_across_newton_iterations(quartic, monkeypatch):
+    solves = []
+    dtypes = _spy_factor_dtypes(monkeypatch, solves)
+    stepper, phi, mu = _front_stepper(quartic, 1 / 16)
+    iterations = 0
+    for n in range(1, 6):
+        phi, mu, report = stepper.step(phi, mu, n)
+        iterations += report.iterations
+    assert 1 <= len(dtypes) < iterations <= len(solves)
+    assert dtypes[0] == np.float32
+
+
+def _count_weighted_stencils(monkeypatch):
+    """Count the mobility-weighted stencil builds of the solver."""
+    weighted = []
+    real = solver.stencil_bands
+
+    def spy(mesh, coeff=None):
+        if coeff is not None:
+            weighted.append(1)
+        return real(mesh, coeff)
+
+    monkeypatch.setattr(solver, "stencil_bands", spy)
+    return weighted
+
+
+@pytest.mark.parametrize("m_plus,m_minus,rebuilds", [(1.0, 1.0, 1), (2.0, 0.5, 4)])
+def test_set_mobility_rebuilds_km_only_when_the_mobility_changes(
+        quartic, monkeypatch, m_plus, m_minus, rebuilds):
+    weighted = _count_weighted_stencils(monkeypatch)
+    p = make_params(quartic, m_plus=m_plus, m_minus=m_minus)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 16)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    phi = ac.init_field(mesh, "flat_front", {"q0": 0.5, "modes": [2], "amplitudes": [0.02]},
+                        p.epsilon).values.copy()
+    mu = stepper.initial_mu(phi)
+    for n in range(1, 5):
+        phi, mu, _ = stepper.step(phi, mu, n)
+    assert len(weighted) == rebuilds
+
+
+@pytest.mark.parametrize("dim,lengths", [(1, (1.0,)), (2, (1.0, 1.0))])
+def test_set_mobility_with_unchanged_coefficient_keeps_s(quartic, monkeypatch, dim, lengths):
+    p = make_params(quartic)
+    mesh = ac.build_mesh(dim, lengths, 1 / 16)
+    rng = np.random.default_rng(5)
+    coeff, ddpsi = rng.uniform(0.5, 2.0, mesh.n_elements), rng.uniform(-2.0, 2.0, mesh.n_nodes)
+    weighted = _count_weighted_stencils(monkeypatch)
+    op = solver.SchurOperator(mesh, p)
+    op.set_mobility(coeff)
+    op.assemble(np.zeros(mesh.n_nodes), 1.0)
+    op.set_mobility(coeff.copy())
+    S = op.assemble(ddpsi, 1e-3)
+    assert len(weighted) == 1
+    fresh = solver.SchurOperator(mesh, p)
+    fresh.set_mobility(coeff)
+    assert np.array_equal(S.data, fresh.assemble(ddpsi, 1e-3).data)
+    assert np.array_equal(op.Km.data, fresh.Km.data)
 
 
 def test_schur_factor_is_single_precision(quartic, monkeypatch):
