@@ -30,20 +30,25 @@ nodes, 1 784 L + U nonzeros against S's 1 279), so S is factored fresh
 in float64 on every Newton iteration.  In 2D L + U fills several times
 S, and the solves are mixed-precision iterative refinement (Langou et al.
 2006; Carson & Higham 2018): SuperLU factors a float32 copy of S, while
-S, the iterate x, the residual rhs - S x and the ``LINEAR_TOL`` test stay
-in float64; only the vectors passed to and returned from the back-solve
-are cast.  Columns are ordered by minimum degree on the pattern
-of A^T + A (``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes
-L + U fill 38% less than under COLAMD, which orders for A^T A).  In float32
-SuperLU runs in symmetric mode and prefers the diagonal pivot
+S, the iterate x, the residual rhs - S x and its test stay in float64; only
+the vectors passed to and returned from the back-solve are cast.  Columns
+are ordered by minimum degree on the pattern of A^T + A
+(``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes L + U fill
+38% less than under COLAMD, which orders for A^T A).  In float32 SuperLU
+runs in symmetric mode and prefers the diagonal pivot
 (``diag_pivot_thresh=0.01``): S has a symmetric pattern and, in the stable
 regime, a dominant diagonal.  In 2D a factorization is reused across Newton
-iterations and steps until refinement against it stalls.  The condition
-number of S grows like beta eps tau / h^4, so at large tau or fine h a
-float32 factor cannot reach ``LINEAR_TOL``: when a fresh float32
+iterations and steps until refinement against it stalls, or until its
+contraction rate shows it would miss the budget of 12 sweeps.  The
+condition number of S grows like beta eps tau / h^4, so at large tau or
+fine h a float32 factor cannot converge: when a fresh float32
 factorization fails or stalls, the operator refactors in float64 and stays
-there.  Only a float64 failure is a :class:`NumericalError`.  The
-:class:`Stepper` runs the Newton iteration on top.
+there.  Only a float64 failure is a :class:`NumericalError`.
+
+Refinement stops at ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10)
+(Eisenstat & Walker 1996): after the update of the :class:`Stepper`'s Newton
+iteration the next r1 is exactly -(rhs - S x) and r2 holds only the psi'
+Taylor remainder, so a smaller residual cannot change whether Newton converges.
 """
 
 from __future__ import annotations
@@ -152,6 +157,8 @@ class SchurOperator:
         self._lu = None        # SuperLU of the current S or of an earlier one
         self._reuse = mesh.dim > 1    # in 1D, factor fresh in float64 (see module docstring)
         self._single = self._reuse    # factor in float32; cleared for good on a float32 failure
+        self.counts = dict.fromkeys(   # SuperLU calls, and factors dropped for their rate
+            ("factor_float32", "factor_float64", "backsolve", "given_up"), 0)
 
     def _build(self):
         self._k_offsets, self._k = stencil_bands(self.mesh)
@@ -167,8 +174,9 @@ class SchurOperator:
         paths = _band_product(offs, np.abs(self._k), offs, np.abs(self._k), self._offsets)
         indptr, indices, self._gather = band_pattern(self._offsets, paths != 0.0)
         self.S = sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
-        self._S32 = sparse.csc_matrix((np.zeros(len(indices), np.float32), indices, indptr),
-                                      shape=(n, n))
+        if self._reuse:
+            self._S32 = sparse.csc_matrix((np.zeros(len(indices), np.float32), indices, indptr),
+                                          shape=(n, n))
 
     def set_mobility(self, coeff: np.ndarray) -> sparse.csr_matrix:
         """Take Km from per-element mobility ``coeff``; returns Km.
@@ -208,12 +216,14 @@ class SchurOperator:
         self._lu = None
         if self._single:
             np.copyto(self._S32.data, self.S.data)
+            self.counts["factor_float32"] += 1
             try:
                 self._lu = splu(self._S32, permc_spec="MMD_AT_PLUS_A",
                                 diag_pivot_thresh=0.01, options={"SymmetricMode": True})
                 return
             except RuntimeError:
                 self._single = False
+        self.counts["factor_float64"] += 1
         try:
             self._lu = splu(self.S, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
@@ -222,34 +232,39 @@ class SchurOperator:
                 f"failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs to relative residual <= LINEAR_TOL.
+        """Solve S x = rhs to ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10).
 
-        In 1D, factors S fresh in float64 (S is pentadiagonal; its LU stays banded).
-        In 2D, tries the most recent factorization with iterative refinement
-        first; refactorizes S when the refinement stalls, and refactorizes in
-        float64 when refinement against a fresh float32 factor stalls too.
+        The next r1 of :meth:`Stepper.step` is -(rhs - S x).  In 1D, factors S
+        fresh in float64.  In 2D, tries the most recent factorization first;
+        refactorizes S when refinement stalls, is non-finite or would need more
+        than 12 sweeps at its contraction rate, and refactorizes in float64
+        when refinement against a fresh float32 factor fails that way too.
         """
         rhs_norm = float(np.linalg.norm(rhs))
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
-        tol, S = LINEAR_TOL, self.S
+        tol, S = max(LINEAR_TOL, NEWTON_TOL / (10.0 * rhs_norm)), self.S
 
         def refine():
             lu, dtype = self._lu, np.float32 if self._single else np.float64
 
             def back_solve(v):
+                self.counts["backsolve"] += 1
                 return lu.solve(v.astype(dtype, copy=False)).astype(np.float64, copy=False)
 
             x = back_solve(rhs)
             r = rhs - S @ x
             rel = float(np.linalg.norm(r)) / rhs_norm
-            for _ in range(12):
-                if rel <= tol:
+            for k in range(1, 13):
+                if rel <= tol or not math.isfinite(rel):
                     break
                 x = x + back_solve(r)
                 r = rhs - S @ x
                 rel, old_rel = float(np.linalg.norm(r)) / rhs_norm, rel
                 if rel >= 0.7 * old_rel:
+                    break
+                if rel > tol and k + math.log(tol / rel) / math.log(rel / old_rel) > 12:
+                    self.counts["given_up"] += 1   # at this rate it would miss the budget
                     break
             return x, rel
 

@@ -324,16 +324,90 @@ def test_singular_schur_raises_numerical_error_1d(quartic, monkeypatch):
     assert _singular_schur_solve(quartic, monkeypatch, 1, (1.0,)) == [np.float64]
 
 
-def test_nan_right_hand_side_raises_numerical_error(quartic):
-    # a NaN residual is a stall, never a converged solve
-    mesh = ac.build_mesh(1, (1.0,), 1 / 8)
-    stepper = Stepper(mesh, make_params(quartic), ac.SolverConfig())
-    stepper.schur.set_mobility(np.ones(mesh.n_elements))
-    stepper.schur.assemble(np.full(mesh.n_nodes, 2.0), 1e-3)
-    rhs = np.ones(mesh.n_nodes)
+@pytest.mark.parametrize("dim,lengths,backsolves", [(1, (1.0,), 1), (2, (1.0, 1.0), 2)],
+                         ids=("1d", "2d"))
+def test_nan_right_hand_side_raises_numerical_error(quartic, dim, lengths, backsolves):
+    # a NaN residual is a stall, never a converged solve, and it ends refinement at
+    # once; in 2D the float32 factor's NaN escalates to float64 once, as a stall does
+    op = solver.SchurOperator(ac.build_mesh(dim, lengths, 1 / 8), make_params(quartic))
+    op.set_mobility(np.ones(op.mesh.n_elements))
+    op.assemble(np.full(op.mesh.n_nodes, 2.0), 1e-3)
+    rhs = np.ones(op.mesh.n_nodes)
     rhs[3] = np.nan
     with pytest.raises(ac.NumericalError, match="relative residual nan"):
-        stepper.schur.solve(rhs)
+        op.solve(rhs)
+    assert op.counts["backsolve"] == backsolves
+
+
+def _stale_front_operator(quartic):
+    """2D operator whose float32 factor is of a front shifted by 0.005 from its S."""
+    p = make_params(quartic, epsilon=1 / (8 * math.pi), s_plus=-1.0, s_minus=1.0,
+                    rho_plus=1.0, rho_minus=1.0, l_coef=0.0)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    op = solver.SchurOperator(mesh, p)
+    op.set_mobility(np.ones(mesh.n_elements))
+    rng = np.random.default_rng(3)
+
+    def ddpsi(q0):
+        spec = {"q0": q0, "modes": [2], "amplitudes": [0.02]}
+        return quartic.ddpsi(ac.init_field(mesh, "flat_front", spec, p.epsilon).values)
+
+    op.assemble(ddpsi(0.5), 1e-3)
+    op.solve(rng.standard_normal(mesh.n_nodes))
+    S = op.assemble(ddpsi(0.505), 1e-3)
+    rhs = rng.standard_normal(mesh.n_nodes)
+    return op, S, 1e-3 * rhs / np.linalg.norm(rhs)
+
+
+def test_refinement_stops_at_a_tenth_of_newton_tol(quartic, monkeypatch):
+    # after the Newton update r1 = -(rhs - S x), so a residual below NEWTON_TOL/10
+    # is work Newton cannot use; |rhs| = 1e-3 puts LINEAR_TOL * |rhs| at 1e-13
+    op, S, rhs = _stale_front_operator(quartic)
+    x = op.solve(rhs)
+    assert np.linalg.norm(rhs - S @ x) <= solver.NEWTON_TOL / 10
+    # under a tight NEWTON_TOL the same solve still reaches LINEAR_TOL, at more cost
+    monkeypatch.setattr(solver, "NEWTON_TOL", 1e-14)
+    to_linear_tol, S, rhs = _stale_front_operator(quartic)
+    x = to_linear_tol.solve(rhs)
+    assert np.linalg.norm(rhs - S @ x) <= solver.LINEAR_TOL * np.linalg.norm(rhs)
+    assert op.counts["backsolve"] < to_linear_tol.counts["backsolve"]
+    assert op.counts["factor_float32"] == to_linear_tol.counts["factor_float32"] == 1
+
+
+def test_stale_factor_that_would_miss_the_budget_is_dropped_early(quartic):
+    # against the factor of S/1.2 the residual contracts by 0.2 per sweep: reaching
+    # LINEAR_TOL takes 15 back-solves, and the budget is 13
+    op = solver.SchurOperator(ac.build_mesh(2, (1.0, 1.0), 1 / 16), make_params(quartic))
+    op.set_mobility(np.ones(op.mesh.n_elements))
+    S = op.assemble(np.full(op.mesh.n_nodes, 2.0), 1e-3)
+    rhs = np.random.default_rng(4).standard_normal(op.mesh.n_nodes)
+    op.solve(rhs)
+    S.data *= 1.2
+    start, stale = op.counts["backsolve"], []
+    factor = op._factor
+    op._factor = lambda: (stale.append(op.counts["backsolve"] - start), factor())
+    x = op.solve(rhs)
+    assert stale == [2]
+    assert op.counts["given_up"] == 1 and op.counts["factor_float64"] == 0
+    assert np.linalg.norm(rhs - S @ x) <= solver.LINEAR_TOL * np.linalg.norm(rhs)
+
+
+def test_spinodal_newton_counts_and_float32_factors(quartic):
+    # psi'' changes sign, so factors go stale and are dropped for their rate; every
+    # step keeps the Newton count it had when each solve was refined to LINEAR_TOL
+    p = make_params(quartic, epsilon=1 / (8 * math.pi), s_plus=-1.0, s_minus=1.0,
+                    rho_plus=1.0, rho_minus=1.0, l_coef=0.0)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    phi = ac.init_field(mesh, "random_spinodal", {"bound": 0.05, "seed": 0}, p.epsilon).values
+    mu = stepper.initial_mu(phi)
+    iterations = []
+    for n in range(1, 21):
+        phi, mu, report = stepper.step(phi, mu, n)
+        iterations.append(report.iterations)
+    assert iterations == [2] * 4 + [3] * 16
+    counts = stepper.schur.counts
+    assert counts["given_up"] >= 1 and counts["factor_float64"] == 0
 
 
 def test_schur_lu_ordering_limits_fill(quartic, monkeypatch):
@@ -397,9 +471,7 @@ def _spy_factor_dtypes(monkeypatch, solves=None):
     return dtypes
 
 
-def test_1d_factors_fresh_in_float64_on_every_newton_iteration(quartic, monkeypatch):
-    solves = []
-    dtypes = _spy_factor_dtypes(monkeypatch, solves)
+def test_1d_factors_fresh_in_float64_on_every_newton_iteration(quartic):
     p = make_params(quartic)
     mesh = ac.build_mesh(1, (1.0,), 1 / 64)
     stepper = Stepper(mesh, p, ac.SolverConfig())
@@ -410,8 +482,16 @@ def test_1d_factors_fresh_in_float64_on_every_newton_iteration(quartic, monkeypa
         phi, mu, report = stepper.step(phi, mu, n)
         iterations += report.iterations
     assert iterations >= 5
-    assert len(dtypes) == len(solves) == iterations
-    assert set(dtypes) == set(solves) == {np.float64}
+    assert stepper.schur.counts == {"factor_float32": 0, "factor_float64": iterations,
+                                    "backsolve": iterations, "given_up": 0}
+
+
+def test_1d_operator_holds_no_float32_copy(quartic):
+    for dim, lengths, has_float32 in ((1, (1.0,), False), (2, (1.0, 1.0), True)):
+        op = solver.SchurOperator(ac.build_mesh(dim, lengths, 1 / 16), make_params(quartic))
+        op.set_mobility(np.ones(op.mesh.n_elements))
+        dtypes = {getattr(value, "dtype", None) for value in vars(op).values()}
+        assert (np.dtype(np.float32) in dtypes) == has_float32
 
 
 def test_2d_reuses_a_float32_factor_across_newton_iterations(quartic, monkeypatch):
@@ -424,6 +504,10 @@ def test_2d_reuses_a_float32_factor_across_newton_iterations(quartic, monkeypatc
         iterations += report.iterations
     assert 1 <= len(dtypes) < iterations <= len(solves)
     assert dtypes[0] == np.float32
+    # the operator's own counts are what SuperLU sees
+    counts = stepper.schur.counts
+    assert (counts["factor_float32"], counts["factor_float64"], counts["backsolve"]) == (
+        dtypes.count(np.float32), dtypes.count(np.float64), len(solves))
 
 
 def _count_weighted_stencils(monkeypatch):
