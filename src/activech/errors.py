@@ -10,7 +10,7 @@ class NumericalError(RuntimeError):
 
 
 class StepFailureError(NumericalError):
-    """Newton iteration for a time step did not converge.
+    """A time step failed: Newton did not converge, or a linear solve failed.
 
     Carries the residual-norm history and the failing step index so run
     drivers can report where and how the solve broke down.

@@ -170,6 +170,7 @@ class RunWriter:
             "start_time": datetime.now(timezone.utc).isoformat(),
             "end_time": None,
             "newton_iterations": None,
+            "solver": None,
             "checks": None,
             "warnings": warnings_sink,
         }
@@ -210,6 +211,7 @@ class RunWriter:
             write_checkpoint(self.dir / "checkpoint.bin", self.mesh, t, step, phi, mu)
         self._manifest["end_time"] = datetime.now(timezone.utc).isoformat()
         self._manifest["newton_iterations"] = record.newton_iters
+        self._manifest["solver"] = record.solver_counts
         self._manifest["checks"] = {
             "max_abs_phi": record.max_abs_phi,
             "bounded": record.max_abs_phi <= solver.PHI_BOUND_WARN,

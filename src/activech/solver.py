@@ -18,21 +18,26 @@ S = W/tau + beta eps Km W^-1 K + (beta/eps) Km diag(psi'') is a 13-point
 stencil (5-point in 1D) with a fixed, structurally symmetric pattern.
 :class:`SchurOperator` keeps each as a band array of shape
 (n_offsets, n_nodes) whose entry [c, i] is A[i, i + offsets[c]].  On the
-first assembly of a run it builds S's CSC pattern and the gather index from
-its band array into ``S.data``.  After that, each step writes Km and the
-step-constant part beta eps Km W^-1 K as products of shifted bands, and
-each Newton iteration adds W/tau and the psi'' column scaling of Km and
-gathers the values into ``S.data``; no sparse matrix is constructed.
+first assembly of a run it builds S's CSC pattern, the gather index from
+its band array into ``S.data``, and the ``S.data`` positions of the
+diagonal and of Km's entries.  After that, each mobility change writes Km
+and gathers the step-constant part beta eps Km W^-1 K, a product of shifted
+bands, into CSC order; each Newton iteration copies it into ``S.data``,
+adds W/tau on the diagonal positions and the psi'' column scaling of Km on
+Km's positions.  No sparse matrix is constructed.
 
 The linear solves are owned by :class:`SchurOperator`, which factors only
-its own S.  In 1D S is pentadiagonal and its LU stays banded (at 257
-nodes, 1 784 L + U nonzeros against S's 1 279), so S is factored fresh
-in float64 on every Newton iteration.  In 2D L + U fills several times
-S, and the solves are mixed-precision iterative refinement (Langou et al.
-2006; Carson & Higham 2018): SuperLU factors a float32 copy of S, while
-S, the iterate x, the residual rhs - S x and its test stay in float64; only
-the vectors passed to and returned from the back-solve are cast.  Columns
-are ordered by minimum degree on the pattern of A^T + A
+its own S.  In 1D S is pentadiagonal, and in natural order its LU with
+partial pivoting stays in the band: L has at most 2 subdiagonals and U at
+most 4 superdiagonals, so L + U holds at most 8 n nonzeros (1 783 against
+S's 1 279 at 257 nodes).  Minimum degree finds no less fill and costs more
+per call, so S is factored fresh in float64 in natural order
+(``permc_spec="NATURAL"``) on every Newton iteration.  In 2D L + U fills
+several times S, and the solves are mixed-precision iterative refinement
+(Langou et al. 2006; Carson & Higham 2018): SuperLU factors a float32 copy
+of S, while S, the iterate x, the residual rhs - S x and its test stay in
+float64; only the vectors passed to and returned from the back-solve are
+cast.  Columns are ordered by minimum degree on the pattern of A^T + A
 (``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes L + U fill
 38% less than under COLAMD, which orders for A^T A).  In float32 SuperLU
 runs in symmetric mode and prefers the diagonal pivot
@@ -43,7 +48,8 @@ contraction rate shows it would miss the budget of 12 sweeps.  The
 condition number of S grows like beta eps tau / h^4, so at large tau or
 fine h a float32 factor cannot converge: when a fresh float32
 factorization fails or stalls, the operator refactors in float64 and stays
-there.  Only a float64 failure is a :class:`NumericalError`.
+there.  Only a float64 failure is a :class:`NumericalError`; within a time
+step it becomes a :class:`StepFailureError` with the step and its residuals.
 
 Refinement stops at ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10)
 (Eisenstat & Walker 1996): after the update of the :class:`Stepper`'s Newton
@@ -141,9 +147,10 @@ class SchurOperator:
     """S = W/tau + beta eps Km W^-1 K + (beta/eps) Km diag(psi'') on a fixed pattern.
 
     Km and K are lattice stencils (:func:`activech.mesh.stencil_bands`), so
-    S is one too, with the pairwise sums of their offsets.  Its CSC pattern
-    and the gather index from the band array into ``S.data`` are built on
-    the first :meth:`set_mobility`; afterwards only values are written.
+    S is one too, with the pairwise sums of their offsets.  Its CSC pattern,
+    the gather index from the band array into ``S.data`` and the ``S.data``
+    positions of the diagonal and of Km's entries are built on the first
+    :meth:`set_mobility`; afterwards only values are written.
     :meth:`solve` solves with the current S against a reused factorization.
     """
 
@@ -155,7 +162,7 @@ class SchurOperator:
         self._c2 = params.beta / params.epsilon
         self.S = None
         self._lu = None        # SuperLU of the current S or of an earlier one
-        self._reuse = mesh.dim > 1    # in 1D, factor fresh in float64 (see module docstring)
+        self._reuse = mesh.dim > 1    # in 1D, factor fresh in float64, in natural order
         self._single = self._reuse    # factor in float32; cleared for good on a float32 failure
         self.counts = dict.fromkeys(   # SuperLU calls, and factors dropped for their rate
             ("factor_float32", "factor_float64", "backsolve", "given_up"), 0)
@@ -164,8 +171,6 @@ class SchurOperator:
         self._k_offsets, self._k = stencil_bands(self.mesh)
         offs = self._k_offsets
         self._offsets = tuple(sorted({p + q for p in offs for q in offs}))
-        self._diag = self._offsets.index(0)
-        self._km_rows = [self._offsets.index(p) for p in offs]
         n = self.mesh.n_nodes
         # Km shares K's pattern; S's pattern is every two-edge path
         indptr, indices, self._km_gather = band_pattern(offs, self._k != 0.0)
@@ -174,6 +179,12 @@ class SchurOperator:
         paths = _band_product(offs, np.abs(self._k), offs, np.abs(self._k), self._offsets)
         indptr, indices, self._gather = band_pattern(self._offsets, paths != 0.0)
         self.S = sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
+        # S.data positions of the diagonal (node order) and of Km's entries (Km.data's order)
+        mask = np.zeros(paths.shape, bool)
+        mask[[self._offsets.index(p) for p in offs]] = self._k != 0.0
+        self._km_at = np.flatnonzero(mask.ravel()[self._gather])
+        self._km_col = np.repeat(np.arange(n), np.diff(self.Km.indptr))
+        self._diag_at = np.flatnonzero(self._gather // n == self._offsets.index(0))
         if self._reuse:
             self._S32 = sparse.csc_matrix((np.zeros(len(indices), np.float32), indices, indptr),
                                           shape=(n, n))
@@ -189,10 +200,11 @@ class SchurOperator:
             return self.Km
         self._coeff = np.array(coeff)
         offs = self._k_offsets
-        _, self._km = stencil_bands(self.mesh, coeff)
-        np.take(self._km, self._km_gather, out=self.Km.data)
-        km_w = _band_product(offs, self._km, (0,), self._w_inv, offs)
-        self._base = self._c1 * _band_product(offs, km_w, offs, self._k, self._offsets)
+        _, km = stencil_bands(self.mesh, coeff)
+        np.take(km, self._km_gather, out=self.Km.data)
+        km_w = _band_product(offs, km, (0,), self._w_inv, offs)
+        self._base = np.take(self._c1 * _band_product(offs, km_w, offs, self._k, self._offsets),
+                             self._gather)
         return self.Km
 
     def assemble(self, ddpsi: np.ndarray, tau: float) -> sparse.csc_matrix:
@@ -200,11 +212,10 @@ class SchurOperator:
 
         S is one matrix whose values are rewritten on every call.
         """
-        offs = self._k_offsets
-        vals = self._base.copy()
-        vals[self._diag] = self.w / tau + vals[self._diag]
-        vals[self._km_rows] += self._c2 * _band_product(offs, self._km, (0,), ddpsi[None], offs)
-        np.take(vals, self._gather, out=self.S.data)
+        data = self.S.data
+        np.copyto(data, self._base)
+        data[self._diag_at] = self.w / tau + data[self._diag_at]
+        data[self._km_at] += self._c2 * (self.Km.data * ddpsi[self._km_col])
         return self.S
 
     def _factor(self):
@@ -225,7 +236,7 @@ class SchurOperator:
                 self._single = False
         self.counts["factor_float64"] += 1
         try:
-            self._lu = splu(self.S, permc_spec="MMD_AT_PLUS_A")
+            self._lu = splu(self.S, permc_spec="MMD_AT_PLUS_A" if self._reuse else "NATURAL")
         except RuntimeError as exc:
             raise NumericalError(
                 f"LU factorization of the {self.S.shape[0]}x{self.S.shape[1]} Schur matrix "
@@ -342,7 +353,10 @@ class Stepper:
                 break
             ddpsi = np.asarray(p.potential.ddpsi(phi))
             self.schur.assemble(ddpsi, tau)
-            dphi = self.schur.solve(-(r1 + Km @ (r2 / w)))
+            try:
+                dphi = self.schur.solve(-(r1 + Km @ (r2 / w)))
+            except NumericalError as exc:
+                raise StepFailureError(str(exc), step=step_index, residuals=residuals) from exc
             dmu = (beta * eps * (K @ dphi) + (beta / eps) * w * ddpsi * dphi + r2) / w
             phi = phi + dphi
             mu = mu + dmu
@@ -386,6 +400,7 @@ class RunRecord:
     warnings: list[str] = field(default_factory=list)
     state: SimState | None = None
     wall_seconds: float = 0.0
+    solver_counts: dict[str, int] = field(default_factory=dict)   # SchurOperator.counts
 
 
 def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
@@ -486,7 +501,7 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
         mode_amps=np.asarray(mode_rows) if mode_rows else None,
         newton_iters=newton_iters, max_abs_phi=max_abs_phi,
         warnings=run_warnings, state=state,
-        wall_seconds=time.perf_counter() - t0,
+        wall_seconds=time.perf_counter() - t0, solver_counts=dict(stepper.schur.counts),
     )
     if writer:
         writer.finish(rec)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import math
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import activech as ac
+from activech import solver
 from activech.cli import main
 
 
@@ -90,6 +92,32 @@ def test_simulate_numerical_failure_exit_code(tmp_path):
                  "--set", "discretization.tau=1e6",
                  "--set", "discretization.t_end=2e6"])
     assert code == 2
+
+
+def test_simulate_linear_solve_failure_names_its_step(tmp_path, monkeypatch, capsys):
+    # the Schur solve fails from step 3 on: the manifest names that step and
+    # its Newton residuals, and simulate exits 2 with the solver's message
+    steps = []
+    step, solve = solver.Stepper.step, solver.SchurOperator.solve
+    message = "linear solver stalled at relative residual 1.000e-07 (target 1.0e-10)"
+
+    def tracked_step(self, phi, mu, step_index=0):
+        steps.append(step_index)
+        return step(self, phi, mu, step_index)
+
+    def failing_solve(self, rhs):
+        if steps[-1] >= 3:
+            raise ac.NumericalError(message)
+        return solve(self, rhs)
+
+    monkeypatch.setattr(solver.Stepper, "step", tracked_step)
+    monkeypatch.setattr(solver.SchurOperator, "solve", failing_solve)
+    cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    failure = json.loads((tmp_path / "out" / "manifest.json").read_text())["failure"]
+    assert failure["step"] == 3 and failure["error"] == message
+    assert len(failure["residuals"]) >= 1
 
 
 def test_simulate_nonfinite_parameter_exit_code(tmp_path, capsys):

@@ -201,6 +201,20 @@ def test_manifest_written_before_compute_and_on_crash(tmp_path, quartic, monkeyp
     assert "Newton failed" in manifest["failure"]["error"]
 
 
+def test_manifest_holds_the_solver_counts_of_the_record(tmp_path, quartic):
+    out = tmp_path / "run"
+    opts = OutputOptions(directory=str(out), stride=10, vtk=False, checkpoint=False)
+    record = ac.run_simulation(
+        small_params(quartic), (2, (1.0, 1.0), 1 / 32),
+        ("flat_front", {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}),
+        ac.SolverConfig(), 0.005, outputs=opts)
+    assert record.state.phi.mesh.n_nodes == 1089
+    counts = record.solver_counts
+    factors = counts["factor_float32"] + counts["factor_float64"]
+    assert counts["backsolve"] >= sum(record.newton_iters) >= factors >= 1
+    assert json.loads((out / "manifest.json").read_text())["solver"] == counts
+
+
 def test_manifest_bounded_follows_phi_bound(tmp_path, quartic, monkeypatch):
     p = small_params(quartic)
 

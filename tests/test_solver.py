@@ -268,6 +268,32 @@ def test_schur_operator_matches_sparse_products(quartic, dim, lengths, h):
     assert S.format == "csc" and S.nnz == S_ref.nnz
 
 
+@pytest.mark.parametrize("dim,lengths,h", [(1, (1.0,), 1 / 32), (2, (1.0, 1.0), 1 / 16)])
+def test_schur_assembly_is_bit_identical_to_the_band_assembly(quartic, dim, lengths, h):
+    # the oracle is the band-array assembly: base bands, W/tau on the diagonal
+    # row, the psi'' column scaling of Km as a band product, one gather
+    p = make_params(quartic, m_plus=2.0, m_minus=0.5)
+    mesh = ac.build_mesh(dim, lengths, h)
+    op = solver.SchurOperator(mesh, p)
+    offs, k = stencil_bands(mesh)
+    rng = np.random.default_rng(12)
+    for _ in range(2):   # across a mobility change
+        coeff = np.asarray(ac.mobility_m(p.mobility, element_means(
+            mesh, rng.uniform(-1.2, 1.2, mesh.n_nodes))))
+        op.set_mobility(coeff)
+        _, km = stencil_bands(mesh, coeff)
+        km_w = solver._band_product(offs, km, (0,), (1.0 / mesh.lumped)[None], offs)
+        base = p.beta * p.epsilon * solver._band_product(offs, km_w, offs, k, op._offsets)
+        diag, km_rows = op._offsets.index(0), [op._offsets.index(q) for q in offs]
+        for tau in (1e-3, 0.5):
+            ddpsi = rng.uniform(-2.0, 2.0, mesh.n_nodes)
+            vals = base.copy()
+            vals[diag] = mesh.lumped / tau + vals[diag]
+            vals[km_rows] += (p.beta / p.epsilon) * solver._band_product(
+                offs, km, (0,), ddpsi[None], offs)
+            assert np.array_equal(op.assemble(ddpsi, tau).data, vals.ravel()[op._gather])
+
+
 def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
     p = make_params(quartic, m_plus=2.0, m_minus=0.5)
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
@@ -432,6 +458,45 @@ def test_schur_lu_ordering_limits_fill(quartic, monkeypatch):
     _, _, report = stepper.step(phi, stepper.initial_mu(phi))
     assert fills and fills[0] < 500_000
     assert report.residuals[-1] < solver.NEWTON_TOL
+
+
+def _spy_factors(monkeypatch):
+    """Record every SuperLU factor the solver computes."""
+    factors = []
+    real = solver.splu
+
+    def spy(A, *args, **kwargs):
+        factors.append(real(A, *args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(solver, "splu", spy)
+    return factors
+
+
+def test_1d_factors_in_natural_order_within_the_band(quartic, monkeypatch):
+    # a pentadiagonal LU with partial pivoting keeps 2 subdiagonals in L and
+    # 4 superdiagonals in U, so L + U holds at most 8 n nonzeros
+    factors = _spy_factors(monkeypatch)
+    p = make_params(quartic, epsilon=1 / (32 * math.pi))
+    mesh = ac.build_mesh(1, (1.0,), 1 / 256)
+    n = mesh.n_nodes
+    assert n == 257
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    phi = ac.init_field(mesh, "flat_front", {"q0": 0.3}, p.epsilon).values
+    stepper.step(phi, stepper.initial_mu(phi), 1)
+    assert factors
+    for lu in factors:
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        assert lu.L.nnz + lu.U.nnz <= 8 * n
+
+
+def test_2d_factors_under_a_fill_reducing_order(quartic, monkeypatch):
+    factors = _spy_factors(monkeypatch)
+    stepper, phi, mu = _front_stepper(quartic, 1 / 16)
+    stepper.step(phi, mu, 1)
+    assert factors
+    for lu in factors:
+        assert not np.array_equal(lu.perm_c, np.arange(stepper.mesh.n_nodes))
 
 
 def _front_stepper(quartic, h, tau=1e-3):
@@ -718,6 +783,15 @@ def test_run_simulation_stationary_front(quartic):
     assert np.max(np.abs(record.q_h - 0.5)) < 3 * eps**2
     assert len(record.newton_iters) == 50
     assert record.state.step == 50
+
+
+def test_run_record_keeps_the_solver_counts_1d(quartic):
+    # in 1D every Newton iteration factors once and back-solves once
+    record = ac.run_simulation(make_params(quartic), (1, (1.0,), 1 / 32),
+                               ("flat_front", {"q0": 0.3}), ac.SolverConfig(), 0.01)
+    counts = record.solver_counts
+    assert counts["factor_float64"] == counts["backsolve"] == sum(record.newton_iters) > 0
+    assert counts["factor_float32"] == 0
 
 
 def test_run_simulation_rejects_bad_horizon(quartic):
