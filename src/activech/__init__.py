@@ -17,8 +17,6 @@ from .model import (
     ReactionSpec,
     SharpParams,
     derive_sharp_params,
-    eval_potential,
-    gamma_quadrature,
     interp_G,
     mobility_m,
     nondimensionalize,
@@ -28,7 +26,6 @@ from .model import (
     source_S,
     source_S1,
     source_S2,
-    validate_potential,
 )
 from .planar import (
     ModeIndex,

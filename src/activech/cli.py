@@ -28,13 +28,11 @@ from .model import (
     PhaseFieldParams,
     ReactionSpec,
     derive_sharp_params,
-    gamma_quadrature,
     nondimensionalize,
     profile_Phi0,
     relaxation_rates,
     si_quadrature,
     source_S,
-    validate_potential,
     GAMMA_QUARTIC,
 )
 from .output import OutputOptions, write_table
@@ -277,12 +275,6 @@ def _cmd_check(args) -> int:
         failures += 0 if ok else 1
 
     pot = DoubleWellPotential.quartic()
-    problems = validate_potential(pot)
-    report("potential assumptions", not problems, "; ".join(problems))
-
-    err = abs(gamma_quadrature(pot) - GAMMA_QUARTIC)
-    report("gamma quadrature vs closed form", err < 1e-8, f"|diff|={err:.2e}")
-
     z = np.linspace(-6.0, 6.0, 257)
     phi = profile_Phi0(pot, z)
     dphi = (1.0 / math.sqrt(2.0)) / np.cosh(z / math.sqrt(2.0)) ** 2

@@ -1,6 +1,6 @@
 """Continuous model layer.
 
-Double-well potentials, the interpolated reaction source, mobility,
+The quartic double well, the interpolated reaction source, mobility,
 derived sharp-interface constants and the leading-order interface
 profile.  Everything here is a pure function over immutable parameter
 objects; all evaluators accept scalars or numpy arrays.
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import ConfigurationError
 
@@ -21,9 +19,8 @@ SQRT2 = math.sqrt(2.0)
 
 #: Surface-tension constant of the quartic double well, 2*sqrt(2)/3.
 GAMMA_QUARTIC = 2.0 * SQRT2 / 3.0
-#: validate_potential's sample count on [-1.5, 1.5] and its rounding tolerance.
-POTENTIAL_CHECK_SAMPLES = 257
-POTENTIAL_CHECK_TOL = 1e-12
+#: Curvature psi''(+-1) of the quartic double well at its minima.
+_DDPSI_WELL = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -39,42 +36,30 @@ def _require_finite(spec, names, positive: bool = False):
             raise ConfigurationError(f"{name} must be {requirement}, got {value}")
 
 
-def _quartic_dpsi(r):
-    r = np.asarray(r)
-    return r * r * r - r   # ``r ** 3`` goes through libm pow, ~40x slower
-
-
 @dataclass(frozen=True)
 class DoubleWellPotential:
-    """Even double-well energy density with minima at +-1.
+    """The quartic double well psi(r) = (1 - r^2)^2 / 4, with minima at +-1.
 
-    ``psi``, ``dpsi`` and ``ddpsi`` must be vectorized (numpy-compatible)
-    callables.  Custom potentials must supply the curvatures at the wells
-    explicitly; no symbolic differentiation is attempted.
+    ``psi``, ``dpsi`` and ``ddpsi`` accept scalars or numpy arrays.
     """
 
-    psi: Callable
-    dpsi: Callable
-    ddpsi: Callable
-    ddpsi_plus: float
-    ddpsi_minus: float
-    kind: str = "custom"
+    @staticmethod
+    def psi(r):
+        return 0.25 * (1.0 - np.asarray(r) ** 2) ** 2
 
-    def __post_init__(self):
-        if self.ddpsi_plus == 0.0 or self.ddpsi_minus == 0.0:
-            raise ConfigurationError("double-well curvature at the wells must be nonzero")
+    @staticmethod
+    def dpsi(r):
+        r = np.asarray(r)
+        return r * r * r - r   # ``r ** 3`` goes through libm pow, ~40x slower
+
+    @staticmethod
+    def ddpsi(r):
+        return 3.0 * np.asarray(r) ** 2 - 1.0
 
     @classmethod
     def quartic(cls) -> "DoubleWellPotential":
-        """The standard quartic well psi(r) = (1 - r^2)^2 / 4."""
-        return cls(
-            psi=lambda r: 0.25 * (1.0 - np.asarray(r) ** 2) ** 2,
-            dpsi=_quartic_dpsi,
-            ddpsi=lambda r: 3.0 * np.asarray(r) ** 2 - 1.0,
-            ddpsi_plus=2.0,
-            ddpsi_minus=2.0,
-            kind="quartic",
-        )
+        """The quartic double well, equal to ``DoubleWellPotential()``."""
+        return cls()
 
 
 @dataclass(frozen=True)
@@ -196,18 +181,13 @@ class NondimReport:
 # potential and interpolation functions
 # ---------------------------------------------------------------------------
 
-def eval_potential(pot: DoubleWellPotential, r):
-    """Evaluate (psi, psi', psi'') at ``r``."""
-    return pot.psi(r), pot.dpsi(r), pot.ddpsi(r)
-
-
 def _g1_hat(s):
     return 0.75 * (s + 1.0) ** 2 - 0.25 * (s + 1.0) ** 3
 
 
 def _g2_hat(s, pot: DoubleWellPotential):
     root = np.sqrt(np.maximum(2.0 * pot.psi(s), 0.0))
-    return -0.5 / math.sqrt(pot.ddpsi_minus) * (s - 1.0) * root
+    return -0.5 / SQRT2 * (s - 1.0) * root   # sqrt(psi''(-1)) = sqrt 2
 
 
 def _g4_hat(s, pot: DoubleWellPotential):
@@ -235,7 +215,7 @@ def interp_G(k: int, r: float, r_c: float, pot: DoubleWellPotential) -> float:
     """
     if not (0.0 < r_c <= 1.0):
         raise ConfigurationError(f"r_c must lie in (0, 1], got {r_c}")
-    if abs(r) > r_c:
+    if not abs(r) <= r_c:   # NaN fails this test too
         raise ValueError(f"G_{k} is defined on [-r_c, r_c]; got r={r}, r_c={r_c}")
     return float(_g_scaled(k, r, r_c, pot))
 
@@ -292,32 +272,12 @@ def mobility_m(spec: MobilitySpec, r):
 # interface profile and quadratures
 # ---------------------------------------------------------------------------
 
-def _profile(pot: DoubleWellPotential, zmax: float):
-    """Vectorized leading-order interface profile, valid on [-zmax, zmax].
-
-    Quartic: tanh(z/sqrt(2)) in closed form.  Custom potentials: one dense
-    solve of the first-order reduction Phi' = sqrt(2 psi(Phi)), Phi(0) = 0,
-    on [0, zmax], extended to z < 0 by oddness.
-    """
-    if pot.kind == "quartic":
-        return lambda z: np.tanh(z / SQRT2)
-    if zmax == 0.0:
-        return np.zeros_like
-
-    def rhs(_z, y):
-        return [math.sqrt(max(2.0 * float(pot.psi(min(y[0], 1.0))), 0.0))]
-
-    sol = integrate.solve_ivp(
-        rhs, (0.0, zmax), [0.0], dense_output=True, rtol=1e-10, atol=1e-12, max_step=0.1
-    ).sol
-    return lambda z: np.sign(z) * np.minimum(sol(np.abs(z))[0], 1.0)
-
-
 def profile_Phi0(pot: DoubleWellPotential, z):
-    """Leading-order interface profile Phi0(z); see ``_profile``."""
-    z_arr = np.asarray(z, dtype=float)
-    zmax = float(np.max(np.abs(z_arr))) if z_arr.size else 0.0
-    out = _profile(pot, zmax)(z_arr)
+    """Leading-order interface profile Phi0(z) = tanh(z / sqrt 2).
+
+    It solves Phi0'' = psi'(Phi0), Phi0(0) = 0, Phi0(+-inf) = +-1.
+    """
+    out = np.tanh(np.asarray(z, dtype=float) / SQRT2)
     return out if out.ndim else float(out)
 
 
@@ -341,16 +301,6 @@ def _gauss_rule(breaks):
     return (mid + half * _GAUSS_NODES).ravel(), (half * _GAUSS_WEIGHTS).ravel()
 
 
-def gamma_quadrature(pot: DoubleWellPotential) -> float:
-    """Surface-tension constant: integral of sqrt(2 psi) over [-1, 1].
-
-    Uses the composite Gauss rule of ``si_quadrature`` (two panels); exact
-    for the quartic, whose integrand is a quadratic polynomial.
-    """
-    s, w = _gauss_rule((-1.0, 1.0))
-    return float(np.sqrt(np.maximum(2.0 * pot.psi(s), 0.0)) @ w)
-
-
 #: Half-width of the profile quadrature window; the quartic profile is
 #: within 1e-17 of its limits there, so truncation is below any tolerance
 #: used in this module.
@@ -364,34 +314,28 @@ def si_quadrature(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
     with a fixed composite Gauss-Legendre rule: panels of width at most 1
     in z, 10 nodes each (about 1 140 nodes), with one vectorized evaluation
     of the profile and of the source.  For r_c < 1 the window is also split
-    at the kinks +-z_c, Phi0(z_c) = r_c, where S2 switches to its affine
-    branches (z_c = sqrt 2 atanh(r_c) for the quartic; a root of the profile
-    otherwise).  Each piece is then analytic, with the nearest singularity
-    at the pole of tanh, z = i pi / sqrt 2, and the tails decay like
-    exp(-sqrt 2 |z|).  Measured on the quartic: within 4.4e-15 of
+    at the kinks +-z_c = +-sqrt 2 atanh(r_c), Phi0(z_c) = r_c, where S2
+    switches to its affine branches.  Each piece is then analytic, with the
+    nearest singularity at the pole of tanh, z = i pi / sqrt 2, and the
+    tails decay like exp(-sqrt 2 |z|).  Measured: within 4.4e-15 of
     ``si_closed_form`` over 200 random r_c = 1 specs, and within 4e-15 of
     an adaptive quadrature (``quad`` with the kinks as break points) at
     r_c in {0.5, 0.75, 0.9}.
     """
     zmax = _PROFILE_Z_MAX
-    phi0 = _profile(pot, zmax)
     breaks = [-zmax, zmax]
     if spec.r_c < 1.0:
-        if pot.kind == "quartic":
-            z_c = SQRT2 * math.atanh(spec.r_c)
-        else:
-            z_c = optimize.brentq(lambda z: phi0(z) - spec.r_c, 0.0, zmax)
+        z_c = SQRT2 * math.atanh(spec.r_c)
         breaks = [-zmax, -z_c, z_c, zmax]
     z, w = _gauss_rule(breaks)
-    return float(source_S2(spec, pot, phi0(z)) @ w)
+    return float(source_S2(spec, pot, np.tanh(z / SQRT2)) @ w)
 
 
 def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
     """Closed form of the interfacial reaction constant (requires r_c = 1)."""
     if spec.r_c != 1.0:
         raise ConfigurationError("closed-form S_I is only available for r_c = 1")
-    gamma = GAMMA_QUARTIC if pot.kind == "quartic" else gamma_quadrature(pot)
-    return (spec.k_plus - spec.k_minus) / math.sqrt(pot.ddpsi_minus) + gamma * spec.l_coef
+    return (spec.k_plus - spec.k_minus) / SQRT2 + GAMMA_QUARTIC * spec.l_coef
 
 
 # ---------------------------------------------------------------------------
@@ -401,13 +345,13 @@ def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
 def relaxation_rates(beta: float, pot: DoubleWellPotential,
                      rho_plus: float, rho_minus: float) -> tuple[float, float]:
     """Relaxation coefficients K+- = beta psi''(+-1) rho+- of the fast source."""
-    return beta * pot.ddpsi_plus * rho_plus, beta * pot.ddpsi_minus * rho_minus
+    return beta * _DDPSI_WELL * rho_plus, beta * _DDPSI_WELL * rho_minus
 
 
 def rho_from_rates(beta: float, pot: DoubleWellPotential,
                    k_plus: float, k_minus: float) -> tuple[float, float]:
     """Inverse of ``relaxation_rates``: rho+- = K+- / (beta psi''(+-1))."""
-    return k_plus / (beta * pot.ddpsi_plus), k_minus / (beta * pot.ddpsi_minus)
+    return k_plus / (beta * _DDPSI_WELL), k_minus / (beta * _DDPSI_WELL)
 
 
 def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -> SharpParams:
@@ -423,7 +367,6 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
     d_minus = p.reaction.s_minus / rho_minus if rho_minus != 0.0 else None
     lam_plus = math.sqrt(rho_plus / p.mobility.m_plus) if rho_plus > 0.0 else None
     lam_minus = math.sqrt(rho_minus / p.mobility.m_minus) if rho_minus > 0.0 else None
-    gamma = GAMMA_QUARTIC if pot.kind == "quartic" else gamma_quadrature(pot)
     if p.reaction.r_c == 1.0:
         s_interface = si_closed_form(p.reaction, pot)
     else:
@@ -435,7 +378,7 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
         d_minus=d_minus,
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        gamma=gamma,
+        gamma=GAMMA_QUARTIC,
         s_interface=s_interface,
         length_L=length_L,
         width_Lt=width_Lt,
@@ -469,42 +412,3 @@ def nondimensionalize(p: PhaseFieldParams, sharp: SharpParams) -> NondimReport:
         s_i_star=sharp.s_interface * math.sqrt(rho_minus / m_minus) / s_minus,
     )
 
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def validate_potential(pot: DoubleWellPotential):
-    """Numerically check the standing assumptions on a double well.
-
-    Returns a list of violation messages (empty when the potential passes).
-    The tolerance ``POTENTIAL_CHECK_TOL`` is set for the quartic; a custom
-    potential evaluated through the same checks may violate it by rounding.
-    """
-    tol = POTENTIAL_CHECK_TOL
-    problems = []
-    r = np.linspace(-1.5, 1.5, POTENTIAL_CHECK_SAMPLES)
-    psi = np.asarray(pot.psi(r), dtype=float)
-    if np.any(psi < -tol):
-        problems.append("psi takes negative values")
-    if np.max(np.abs(psi - np.asarray(pot.psi(-r)))) > tol:
-        problems.append("psi is not even")
-    for point, value in (("psi(1)", pot.psi(1.0)), ("psi(-1)", pot.psi(-1.0)),
-                         ("psi'(1)", pot.dpsi(1.0)), ("psi'(-1)", pot.dpsi(-1.0)),
-                         ("psi'(0)", pot.dpsi(0.0))):
-        if abs(float(value)) > tol:
-            problems.append(f"{point} = {float(value):.3e}, expected 0")
-    for label, stored, point in (("psi''(+1)", pot.ddpsi_plus, 1.0),
-                                 ("psi''(-1)", pot.ddpsi_minus, -1.0)):
-        if abs(float(pot.ddpsi(point)) - stored) > max(tol, 1e-10 * abs(stored)):
-            problems.append(f"{label} evaluator disagrees with stored value")
-    # second-order finite-difference consistency of the derivative evaluators
-    h = 1e-5
-    rr = np.linspace(-1.2, 1.2, 25)
-    fd1 = (np.asarray(pot.psi(rr + h)) - np.asarray(pot.psi(rr - h))) / (2 * h)
-    if np.max(np.abs(fd1 - np.asarray(pot.dpsi(rr)))) > 1e-8:
-        problems.append("dpsi inconsistent with finite differences of psi")
-    fd2 = (np.asarray(pot.dpsi(rr + h)) - np.asarray(pot.dpsi(rr - h))) / (2 * h)
-    if np.max(np.abs(fd2 - np.asarray(pot.ddpsi(rr)))) > 1e-8:
-        problems.append("ddpsi inconsistent with finite differences of dpsi")
-    return problems

@@ -1,6 +1,10 @@
 """Tests for the continuous model layer."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,17 +21,28 @@ def quartic():
     return ac.DoubleWellPotential.quartic()
 
 
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # the model is closed-form: importing the package must not pull in these subpackages
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, activech; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize')))[:3])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    assert out == "[]"
+
+
 # ---------------------------------------------------------------------------
 # potential
 # ---------------------------------------------------------------------------
 
 def test_quartic_roots_and_curvature(quartic):
-    assert ac.eval_potential(quartic, 1.0) == (0.0, 0.0, 2.0)
-    assert ac.eval_potential(quartic, -1.0) == (0.0, 0.0, 2.0)
+    for r in (1.0, -1.0):
+        assert (quartic.psi(r), quartic.dpsi(r), quartic.ddpsi(r)) == (0.0, 0.0, 2.0)
 
 
 def test_quartic_at_origin(quartic):
-    psi, dpsi, ddpsi = ac.eval_potential(quartic, 0.0)
+    psi, dpsi, ddpsi = quartic.psi(0.0), quartic.dpsi(0.0), quartic.ddpsi(0.0)
     assert psi == pytest.approx(0.25, abs=0)
     assert dpsi == 0.0
     assert ddpsi == pytest.approx(-1.0, abs=0)
@@ -65,21 +80,6 @@ def test_quartic_dpsi_matches_power_form(quartic):
     assert quartic.dpsi([0.5, -2.0]).tolist() == [-0.375, -6.0]
 
 
-def test_validate_potential_clean(quartic):
-    assert ac.validate_potential(quartic) == []
-
-
-def test_validate_potential_flags_bad_curvature():
-    with pytest.raises(ac.ConfigurationError):
-        ac.DoubleWellPotential(
-            psi=lambda r: 0.25 * (1 - np.asarray(r) ** 2) ** 2,
-            dpsi=lambda r: np.asarray(r) ** 3 - np.asarray(r),
-            ddpsi=lambda r: 3.0 * np.asarray(r) ** 2 - 1.0,
-            ddpsi_plus=0.0,
-            ddpsi_minus=2.0,
-        )
-
-
 # ---------------------------------------------------------------------------
 # interpolation functions
 # ---------------------------------------------------------------------------
@@ -109,6 +109,11 @@ def test_g2_g3_slopes_at_crossover(quartic):
 def test_interp_domain_error(quartic):
     with pytest.raises(ValueError):
         ac.interp_G(1, 0.6, 0.5, quartic)
+
+
+def test_interp_rejects_nan(quartic):
+    with pytest.raises(ValueError, match="defined on"):
+        ac.interp_G(1, math.nan, 1.0, quartic)
 
 
 # ---------------------------------------------------------------------------
@@ -288,28 +293,14 @@ def test_params_reject_nonfinite(quartic, field, value):
 
 
 # ---------------------------------------------------------------------------
-# gamma quadrature
+# surface-tension constant
 # ---------------------------------------------------------------------------
-
-def test_gamma_quadrature_quartic(quartic):
-    assert abs(ac.gamma_quadrature(quartic) - 2 * SQRT2 / 3) < 1e-8
-
-
-def test_gamma_quadrature_scaling(quartic):
-    scaled = ac.DoubleWellPotential(
-        psi=lambda r: 4.0 * quartic.psi(r),
-        dpsi=lambda r: 4.0 * quartic.dpsi(r),
-        ddpsi=lambda r: 4.0 * quartic.ddpsi(r),
-        ddpsi_plus=8.0, ddpsi_minus=8.0,
-    )
-    assert ac.gamma_quadrature(scaled) == pytest.approx(2 * ac.gamma_quadrature(quartic), rel=1e-10)
-
 
 def test_gamma_quadrature_vs_midpoint_rule(quartic):
     n = 10**6
     s = -1.0 + (np.arange(n) + 0.5) * (2.0 / n)
     brute = np.sum(np.sqrt(2.0 * quartic.psi(s))) * (2.0 / n)
-    assert abs(ac.gamma_quadrature(quartic) - brute) < 1e-7
+    assert abs(ac.GAMMA_QUARTIC - brute) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +331,6 @@ def test_profile_equipartition(quartic):
 def test_profile_odd(quartic):
     z = np.linspace(0.0, 5.0, 23)
     assert np.max(np.abs(ac.profile_Phi0(quartic, -z) + ac.profile_Phi0(quartic, z))) < 1e-14
-
-
-def test_profile_custom_potential_matches_closed_form(quartic):
-    # same well shape, driven through the generic ODE path
-    custom = ac.DoubleWellPotential(
-        psi=quartic.psi, dpsi=quartic.dpsi, ddpsi=quartic.ddpsi,
-        ddpsi_plus=2.0, ddpsi_minus=2.0, kind="custom",
-    )
-    z = np.linspace(-4, 4, 17)
-    assert np.max(np.abs(ac.profile_Phi0(custom, z) - np.tanh(z / SQRT2))) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +377,6 @@ def test_si_quadrature_matches_adaptive_oracle(quartic, r_c, k_plus, k_minus, l_
     assert abs(ac.si_quadrature(spec, quartic) - _si_adaptive(spec, quartic)) < 1e-12
 
 
-@pytest.mark.parametrize("r_c", [1.0, 0.5])
-def test_si_quadrature_custom_potential_keeps_kinks(quartic, r_c):
-    # the quartic's callables through the generic profile and kink search
-    custom = ac.DoubleWellPotential(
-        psi=quartic.psi, dpsi=quartic.dpsi, ddpsi=quartic.ddpsi,
-        ddpsi_plus=2.0, ddpsi_minus=2.0, kind="custom",
-    )
-    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4,
-                           l_coef=-0.8, r_c=r_c)
-    assert abs(ac.si_quadrature(spec, custom) - ac.si_quadrature(spec, quartic)) < 1e-9
-
-
 def test_si_quadrature_evaluates_source_once(quartic, monkeypatch):
     calls = []
 
@@ -419,26 +388,6 @@ def test_si_quadrature_evaluates_source_once(quartic, monkeypatch):
     spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4, r_c=0.5)
     ac.si_quadrature(spec, quartic)
     assert len(calls) <= 1
-
-
-def test_si_quadrature_custom_potential_solves_profile_once(quartic, monkeypatch):
-    # the kink search and the quadrature nodes share one profile solve
-    calls = []
-    solve_ivp = integrate.solve_ivp
-
-    def counting_solve_ivp(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(model.integrate, "solve_ivp", counting_solve_ivp)
-    custom = ac.DoubleWellPotential(
-        psi=quartic.psi, dpsi=quartic.dpsi, ddpsi=quartic.ddpsi,
-        ddpsi_plus=2.0, ddpsi_minus=2.0, kind="custom",
-    )
-    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4,
-                           l_coef=-0.8, r_c=0.5)
-    ac.si_quadrature(spec, custom)
-    assert calls == [(0.0, model._PROFILE_Z_MAX)]
 
 
 def test_si_closed_form_requires_rc_one(quartic):

@@ -23,10 +23,9 @@ def quartic():
 def make_params(quartic, *, beta=0.1, epsilon=1 / (4 * math.pi), s_plus=-1.0,
                 s_minus=4.0, rho_plus=1.0, rho_minus=0.1, l_coef=-1.0,
                 m_plus=1.0, m_minus=1.0, r_c=1.0):
+    k_plus, k_minus = ac.model.relaxation_rates(beta, quartic, rho_plus, rho_minus)
     reaction = ac.ReactionSpec(
-        s_plus=s_plus, s_minus=s_minus,
-        k_plus=beta * quartic.ddpsi_plus * rho_plus,
-        k_minus=beta * quartic.ddpsi_minus * rho_minus,
+        s_plus=s_plus, s_minus=s_minus, k_plus=k_plus, k_minus=k_minus,
         l_coef=l_coef, r_c=r_c)
     return ac.PhaseFieldParams(beta=beta, epsilon=epsilon, potential=quartic,
                                reaction=reaction,
