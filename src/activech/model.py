@@ -182,16 +182,18 @@ class NondimReport:
 # ---------------------------------------------------------------------------
 
 def _g1_hat(s):
-    return 0.75 * (s + 1.0) ** 2 - 0.25 * (s + 1.0) ** 3
+    t = s + 1.0
+    return 0.75 * t ** 2 - 0.25 * t ** 3
 
 
-def _g2_hat(s, pot: DoubleWellPotential):
-    root = np.sqrt(np.maximum(2.0 * pot.psi(s), 0.0))
+def _g2_hat(s, root):
     return -0.5 / SQRT2 * (s - 1.0) * root   # sqrt(psi''(-1)) = sqrt 2
 
 
 def _g4_hat(s, pot: DoubleWellPotential):
-    return 2.0 * pot.psi(s)
+    """2 psi(s) and its root, which G_2's hat takes; psi is even, so both serve -s too."""
+    g4 = 2.0 * pot.psi(s)
+    return g4, np.sqrt(np.maximum(g4, 0.0))
 
 
 def _g_scaled(k: int, r, r_c: float, pot: DoubleWellPotential):
@@ -199,12 +201,13 @@ def _g_scaled(k: int, r, r_c: float, pot: DoubleWellPotential):
     s = np.clip(np.asarray(r, dtype=float) / r_c, -1.0, 1.0)
     if k == 1:
         return _g1_hat(s)
+    g4, root = _g4_hat(s, pot)
     if k == 2:
-        return r_c * _g2_hat(s, pot)
+        return r_c * _g2_hat(s, root)
     if k == 3:
-        return -r_c * _g2_hat(-s, pot)
+        return -r_c * _g2_hat(-s, root)
     if k == 4:
-        return _g4_hat(s, pot)
+        return g4
     raise ValueError(f"interpolation index must be 1..4, got {k}")
 
 
@@ -225,13 +228,13 @@ def interp_G(k: int, r: float, r_c: float, pot: DoubleWellPotential) -> float:
 # ---------------------------------------------------------------------------
 
 def _source_branches(spec: ReactionSpec, pot: DoubleWellPotential, r):
-    """(S1, S2) at ``r`` from one clip of r/r_c: G_k are ``_g_scaled``'s, G_1 computed once."""
+    """(S1, S2) at ``r`` from one clip of r/r_c: G_k are ``_g_scaled``'s, G_1 and psi once."""
     r = np.asarray(r, dtype=float)
     rc = spec.r_c
     s = np.clip(r / rc, -1.0, 1.0)
-    g1 = _g1_hat(s)
-    s2_hat = (-spec.k_minus * (rc * _g2_hat(s, pot)) - spec.k_plus * (-rc * _g2_hat(-s, pot))
-              + spec.l_coef * _g4_hat(s, pot) - spec.k_plus * (rc - 1.0) * g1
+    g1, (g4, root) = _g1_hat(s), _g4_hat(s, pot)
+    s2_hat = (-spec.k_minus * (rc * _g2_hat(s, root)) - spec.k_plus * (-rc * _g2_hat(-s, root))
+              + spec.l_coef * g4 - spec.k_plus * (rc - 1.0) * g1
               - spec.k_minus * (1.0 - rc) * (1.0 - g1))
     above, below = r >= rc, r <= -rc
     s1 = np.where(above, spec.s_plus,

@@ -156,8 +156,7 @@ class SchurOperator:
 
     def __init__(self, mesh: StructuredMesh, params: PhaseFieldParams):
         self.mesh = mesh
-        self.w = mesh.lumped
-        self._w_inv = (1.0 / self.w)[None]
+        self._w_inv = (1.0 / mesh.lumped)[None]
         self._c1 = params.beta * params.epsilon
         self._c2 = params.beta / params.epsilon
         self.S = None
@@ -207,14 +206,14 @@ class SchurOperator:
                              self._gather)
         return self.Km
 
-    def assemble(self, ddpsi: np.ndarray, tau: float) -> sparse.csc_matrix:
-        """S for the psi'' values ``ddpsi`` and time step ``tau``.
+    def assemble(self, ddpsi: np.ndarray, w_tau: np.ndarray) -> sparse.csc_matrix:
+        """S for the psi'' values ``ddpsi`` and the diagonal ``w_tau`` = W/tau.
 
         S is one matrix whose values are rewritten on every call.
         """
         data = self.S.data
         np.copyto(data, self._base)
-        data[self._diag_at] = self.w / tau + data[self._diag_at]
+        data[self._diag_at] = w_tau + data[self._diag_at]
         data[self._km_at] += self._c2 * (self.Km.data * ddpsi[self._km_col])
         return self.S
 
@@ -251,7 +250,7 @@ class SchurOperator:
         than 12 sweeps at its contraction rate, and refactorizes in float64
         when refinement against a fresh float32 factor fails that way too.
         """
-        rhs_norm = float(np.linalg.norm(rhs))
+        rhs_norm = math.sqrt(rhs @ rhs)   # np.linalg.norm's own expression
         if rhs_norm == 0.0:
             return np.zeros_like(rhs)
         tol, S = max(LINEAR_TOL, NEWTON_TOL / (10.0 * rhs_norm)), self.S
@@ -265,13 +264,13 @@ class SchurOperator:
 
             x = back_solve(rhs)
             r = rhs - S @ x
-            rel = float(np.linalg.norm(r)) / rhs_norm
+            rel = math.sqrt(r @ r) / rhs_norm
             for k in range(1, 13):
                 if rel <= tol or not math.isfinite(rel):
                     break
                 x = x + back_solve(r)
                 r = rhs - S @ x
-                rel, old_rel = float(np.linalg.norm(r)) / rhs_norm, rel
+                rel, old_rel = math.sqrt(r @ r) / rhs_norm, rel
                 if rel >= 0.7 * old_rel:
                     break
                 if rel > tol and k + math.log(tol / rel) / math.log(rel / old_rel) > 12:
@@ -297,7 +296,11 @@ class SchurOperator:
 
 
 class Stepper:
-    """Newton iteration of one time step for one (mesh, params, config)."""
+    """Newton iteration of one time step for one (mesh, params, config).
+
+    Construction does no Schur work: the operator builds S's pattern and Km
+    on the first :meth:`step`.
+    """
 
     def __init__(self, mesh: StructuredMesh, params: PhaseFieldParams, config: SolverConfig):
         self.mesh = mesh
@@ -327,24 +330,27 @@ class Stepper:
 
     def step(self, phi_old: np.ndarray, mu_old: np.ndarray, step_index: int = 0):
         """Advance one step; returns (phi, mu, StepReport)."""
-        p = self.p
-        beta, eps, tau = p.beta, p.epsilon, self.cfg.tau
-        w, K = self.w, self.K
+        p, schur = self.p, self.schur
+        tau, w, K = self.cfg.tau, self.w, self.K
         # lumped quadrature of m(phi^n) grad mu . grad chi gives per-element
-        # vertex-averaged mobility against piecewise-constant gradients
-        Km = self.schur.set_mobility(
-            np.asarray(mobility_m(p.mobility, element_means(self.mesh, phi_old))))
+        # vertex-averaged mobility against piecewise-constant gradients; with
+        # m+ = m- that is m- on every element, so Km is set on the first step only
+        if schur.S is None or p.mobility.m_plus != p.mobility.m_minus:
+            schur.set_mobility(mobility_m(p.mobility, element_means(self.mesh, phi_old)))
+        Km = schur.Km
         svec = self.source_nodal(phi_old)
         rhs_mass = w * (phi_old / tau + svec)
+        # the step's constant factors, in the operand order of the residual's terms
+        w_tau, c_grad, c_well = w / tau, p.beta * p.epsilon, (p.beta / p.epsilon) * w
 
         phi = phi_old.copy()
         mu = mu_old.copy()
         residuals = []
         converged = False
         for _ in range(NEWTON_MAX + 1):
-            r1 = (w / tau) * phi + Km @ mu - rhs_mass
-            r2 = beta * eps * (K @ phi) + (beta / eps) * w * p.potential.dpsi(phi) - w * mu
-            res = math.hypot(float(np.linalg.norm(r1)), float(np.linalg.norm(r2)))
+            r1 = w_tau * phi + Km @ mu - rhs_mass
+            r2 = c_grad * (K @ phi) + c_well * p.potential.dpsi(phi) - w * mu
+            res = math.hypot(math.sqrt(r1 @ r1), math.sqrt(r2 @ r2))
             residuals.append(res)
             if res < NEWTON_TOL:
                 converged = True
@@ -352,12 +358,12 @@ class Stepper:
             if len(residuals) > NEWTON_MAX:
                 break
             ddpsi = np.asarray(p.potential.ddpsi(phi))
-            self.schur.assemble(ddpsi, tau)
+            schur.assemble(ddpsi, w_tau)
             try:
-                dphi = self.schur.solve(-(r1 + Km @ (r2 / w)))
+                dphi = schur.solve(-(r1 + Km @ (r2 / w)))
             except NumericalError as exc:
                 raise StepFailureError(str(exc), step=step_index, residuals=residuals) from exc
-            dmu = (beta * eps * (K @ dphi) + (beta / eps) * w * ddpsi * dphi + r2) / w
+            dmu = (c_grad * (K @ dphi) + c_well * ddpsi * dphi + r2) / w
             phi = phi + dphi
             mu = mu + dmu
         if not converged:

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +349,13 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m activech`` from a source tree, with src/ on PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-m", "activech", "--version"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"activech {ac.__version__}"

@@ -178,22 +178,36 @@ def test_source_vectorized_matches_scalar(quartic):
 
 
 @pytest.mark.parametrize("r_c", [1.0, 0.7])
-@pytest.mark.parametrize("l_coef", [0.0, 0.5])
+@pytest.mark.parametrize("l_coef", [0.0, 0.5, -1.0])
 def test_source_is_s1_plus_s2_over_eps_bit_for_bit(quartic, r_c, l_coef):
     spec = ac.ReactionSpec(s_plus=-1.0, s_minus=4.0, k_plus=0.2, k_minus=0.02,
                            l_coef=l_coef, r_c=r_c)
     eps = 1 / (8 * math.pi)
-    r = np.concatenate([np.linspace(-1.4, 1.4, 57), [r_c, -r_c, 1.0, -1.0]])
+    r = np.concatenate([np.linspace(-1.4, 1.4, 57), [r_c, -r_c, 1.0, -1.0],
+                        np.random.default_rng(8).uniform(-1.5, 1.5, 100_000)])
     s1, s2 = ac.source_S1(spec, quartic, r), ac.source_S2(spec, quartic, r)
     assert np.array_equal(ac.source_S(spec, quartic, eps, r), s1 + s2 / eps)
-    # the interior branches against G_k, each evaluated on its own
+    # the interior branches against G_k, each evaluated on its own, and the affine exterior
     g = {k: model._g_scaled(k, r, r_c, quartic) for k in (1, 2, 3, 4)}
-    inside = np.abs(r) < r_c
-    s1_ref = spec.s_minus + g[1] * (spec.s_plus - spec.s_minus)
-    s2_ref = (-spec.k_minus * g[2] - spec.k_plus * g[3] + spec.l_coef * g[4]
-              - spec.k_plus * (r_c - 1.0) * g[1] - spec.k_minus * (1.0 - r_c) * (1.0 - g[1]))
-    assert np.array_equal(s1[inside], s1_ref[inside])
-    assert np.array_equal(s2[inside], s2_ref[inside])
+    # G_k written out, with psi evaluated afresh at -s for G_3
+    s = np.clip(r / r_c, -1.0, 1.0)
+
+    def root(x):
+        return np.sqrt(np.maximum(2.0 * quartic.psi(x), 0.0))
+
+    assert np.array_equal(g[1], 0.75 * (s + 1.0) ** 2 - 0.25 * (s + 1.0) ** 3)
+    assert np.array_equal(g[2], r_c * (-0.5 / SQRT2 * (s - 1.0) * root(s)))
+    assert np.array_equal(g[3], -r_c * (-0.5 / SQRT2 * (-s - 1.0) * root(-s)))
+    assert np.array_equal(g[4], 2.0 * quartic.psi(s))
+    above, below = r >= r_c, r <= -r_c
+    s1_ref = np.where(above, spec.s_plus, np.where(
+        below, spec.s_minus, spec.s_minus + g[1] * (spec.s_plus - spec.s_minus)))
+    s2_ref = np.where(above, -spec.k_plus * (r - 1.0), np.where(
+        below, -spec.k_minus * (r + 1.0),
+        -spec.k_minus * g[2] - spec.k_plus * g[3] + spec.l_coef * g[4]
+        - spec.k_plus * (r_c - 1.0) * g[1] - spec.k_minus * (1.0 - r_c) * (1.0 - g[1])))
+    assert np.array_equal(s1, s1_ref)
+    assert np.array_equal(s2, s2_ref)
     for x in (r_c, -r_c, 1.0, -1.0, 0.3):
         got = ac.source_S(spec, quartic, eps, x)
         assert type(got) is float

@@ -252,9 +252,9 @@ def test_schur_operator_matches_sparse_products(quartic, dim, lengths, h):
     coeff = np.asarray(ac.mobility_m(p.mobility, element_means(mesh, phi)))
     op = solver.SchurOperator(mesh, p)
     op.set_mobility(np.ones(mesh.n_elements))
-    op.assemble(np.zeros(mesh.n_nodes), 1.0)   # values are rewritten, not accumulated
+    op.assemble(np.zeros(mesh.n_nodes), mesh.lumped)   # values are rewritten, not accumulated
     Km = op.set_mobility(coeff)
-    S = op.assemble(ddpsi, tau)
+    S = op.assemble(ddpsi, mesh.lumped / tau)
     # the sparse-product assembly the operator replaces
     Km_ref = band_csc(*stencil_bands(mesh, coeff))
     K, w = ac.stiffness_matrix(mesh), mesh.lumped
@@ -290,7 +290,8 @@ def test_schur_assembly_is_bit_identical_to_the_band_assembly(quartic, dim, leng
             vals[diag] = mesh.lumped / tau + vals[diag]
             vals[km_rows] += (p.beta / p.epsilon) * solver._band_product(
                 offs, km, (0,), ddpsi[None], offs)
-            assert np.array_equal(op.assemble(ddpsi, tau).data, vals.ravel()[op._gather])
+            S = op.assemble(ddpsi, mesh.lumped / tau)
+            assert np.array_equal(S.data, vals.ravel()[op._gather])
 
 
 def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
@@ -324,13 +325,54 @@ def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
     sparse.diags(np.ones(3), format="csr") @ stepper.K[:3, :3]
     assert set(calls) == {"diags", "construction", "sparse product"}
 
+
+def _reference_step(op, stepper, phi_old, mu_old):
+    """Stepper.step's Newton loop with each factor formed where it is used, on operator ``op``."""
+    p, tau, w, K = stepper.p, stepper.cfg.tau, stepper.w, stepper.K
+    beta, eps = p.beta, p.epsilon
+    Km = op.set_mobility(
+        np.asarray(ac.mobility_m(p.mobility, element_means(stepper.mesh, phi_old))))
+    rhs_mass = w * (phi_old / tau + stepper.source_nodal(phi_old))
+    phi, mu, residuals = phi_old.copy(), mu_old.copy(), []
+    while True:
+        r1 = (w / tau) * phi + Km @ mu - rhs_mass
+        r2 = beta * eps * (K @ phi) + (beta / eps) * w * p.potential.dpsi(phi) - w * mu
+        residuals.append(math.hypot(float(np.linalg.norm(r1)), float(np.linalg.norm(r2))))
+        if residuals[-1] < solver.NEWTON_TOL:
+            return phi, mu, residuals
+        assert len(residuals) <= solver.NEWTON_MAX
+        ddpsi = p.potential.ddpsi(phi)
+        op.assemble(ddpsi, w / tau)
+        dphi = op.solve(-(r1 + Km @ (r2 / w)))
+        dmu = (beta * eps * (K @ dphi) + (beta / eps) * w * ddpsi * dphi + r2) / w
+        phi, mu = phi + dphi, mu + dmu
+
+
+@pytest.mark.parametrize("dim,m_plus,m_minus", [(1, 1.0, 1.0), (2, 1.0, 1.0), (2, 2.0, 0.5)])
+def test_step_is_bit_identical_to_the_reference_newton_loop(quartic, dim, m_plus, m_minus):
+    p = make_params(quartic, epsilon=1 / (8 * math.pi), m_plus=m_plus, m_minus=m_minus)
+    mesh = ac.build_mesh(dim, (1.0, 1.0)[:dim], 1 / 64 if dim == 1 else 1 / 16)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    op = solver.SchurOperator(mesh, p)
+    spec = {"q0": 0.3} if dim == 1 else {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}
+    phi = ac.init_field(mesh, "flat_front", spec, p.epsilon).values.copy()
+    mu = ref_mu = stepper.initial_mu(phi)
+    ref_phi = phi
+    for n in range(1, 5):
+        phi, mu, report = stepper.step(phi, mu, n)
+        ref_phi, ref_mu, ref_residuals = _reference_step(op, stepper, ref_phi, ref_mu)
+        assert np.array_equal(phi, ref_phi) and np.array_equal(mu, ref_mu)
+        assert report.residuals == ref_residuals
+    assert stepper.schur.counts == op.counts
+
+
 def _singular_schur_solve(quartic, monkeypatch, dim, lengths):
     """Factor dtypes of a solve with S = 0, which must raise a NumericalError."""
     dtypes = _spy_factor_dtypes(monkeypatch)
     mesh = ac.build_mesh(dim, lengths, 1 / 8)
     schur = solver.SchurOperator(mesh, make_params(quartic))
     schur.set_mobility(np.ones(mesh.n_elements))
-    schur.assemble(np.full(mesh.n_nodes, 2.0), 1e-3)
+    schur.assemble(np.full(mesh.n_nodes, 2.0), mesh.lumped / 1e-3)
     schur.S.data[:] = 0.0
     n = mesh.n_nodes
     with pytest.raises(ac.NumericalError, match=f"{n}x{n}"):
@@ -356,7 +398,7 @@ def test_nan_right_hand_side_raises_numerical_error(quartic, dim, lengths, backs
     # once; in 2D the float32 factor's NaN escalates to float64 once, as a stall does
     op = solver.SchurOperator(ac.build_mesh(dim, lengths, 1 / 8), make_params(quartic))
     op.set_mobility(np.ones(op.mesh.n_elements))
-    op.assemble(np.full(op.mesh.n_nodes, 2.0), 1e-3)
+    op.assemble(np.full(op.mesh.n_nodes, 2.0), op.mesh.lumped / 1e-3)
     rhs = np.ones(op.mesh.n_nodes)
     rhs[3] = np.nan
     with pytest.raises(ac.NumericalError, match="relative residual nan"):
@@ -377,9 +419,9 @@ def _stale_front_operator(quartic):
         spec = {"q0": q0, "modes": [2], "amplitudes": [0.02]}
         return quartic.ddpsi(ac.init_field(mesh, "flat_front", spec, p.epsilon).values)
 
-    op.assemble(ddpsi(0.5), 1e-3)
+    op.assemble(ddpsi(0.5), mesh.lumped / 1e-3)
     op.solve(rng.standard_normal(mesh.n_nodes))
-    S = op.assemble(ddpsi(0.505), 1e-3)
+    S = op.assemble(ddpsi(0.505), mesh.lumped / 1e-3)
     rhs = rng.standard_normal(mesh.n_nodes)
     return op, S, 1e-3 * rhs / np.linalg.norm(rhs)
 
@@ -404,7 +446,7 @@ def test_stale_factor_that_would_miss_the_budget_is_dropped_early(quartic):
     # LINEAR_TOL takes 15 back-solves, and the budget is 13
     op = solver.SchurOperator(ac.build_mesh(2, (1.0, 1.0), 1 / 16), make_params(quartic))
     op.set_mobility(np.ones(op.mesh.n_elements))
-    S = op.assemble(np.full(op.mesh.n_nodes, 2.0), 1e-3)
+    S = op.assemble(np.full(op.mesh.n_nodes, 2.0), op.mesh.lumped / 1e-3)
     rhs = np.random.default_rng(4).standard_normal(op.mesh.n_nodes)
     op.solve(rhs)
     S.data *= 1.2
@@ -591,16 +633,21 @@ def _count_weighted_stencils(monkeypatch):
 @pytest.mark.parametrize("m_plus,m_minus,rebuilds", [(1.0, 1.0, 1), (2.0, 0.5, 4)])
 def test_set_mobility_rebuilds_km_only_when_the_mobility_changes(
         quartic, monkeypatch, m_plus, m_minus, rebuilds):
+    # with m+ = m- the mobility is not even evaluated after the first step
     weighted = _count_weighted_stencils(monkeypatch)
+    evaluated = []
+    real = solver.mobility_m
+    monkeypatch.setattr(solver, "mobility_m", lambda *args: evaluated.append(1) or real(*args))
     p = make_params(quartic, m_plus=m_plus, m_minus=m_minus)
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 16)
     stepper = Stepper(mesh, p, ac.SolverConfig())
+    assert stepper.schur.S is None   # construction builds no Schur pattern
     phi = ac.init_field(mesh, "flat_front", {"q0": 0.5, "modes": [2], "amplitudes": [0.02]},
                         p.epsilon).values.copy()
     mu = stepper.initial_mu(phi)
     for n in range(1, 5):
         phi, mu, _ = stepper.step(phi, mu, n)
-    assert len(weighted) == rebuilds
+    assert len(weighted) == len(evaluated) == rebuilds
 
 
 @pytest.mark.parametrize("dim,lengths", [(1, (1.0,)), (2, (1.0, 1.0))])
@@ -612,13 +659,13 @@ def test_set_mobility_with_unchanged_coefficient_keeps_s(quartic, monkeypatch, d
     weighted = _count_weighted_stencils(monkeypatch)
     op = solver.SchurOperator(mesh, p)
     op.set_mobility(coeff)
-    op.assemble(np.zeros(mesh.n_nodes), 1.0)
+    op.assemble(np.zeros(mesh.n_nodes), mesh.lumped)
     op.set_mobility(coeff.copy())
-    S = op.assemble(ddpsi, 1e-3)
+    S = op.assemble(ddpsi, mesh.lumped / 1e-3)
     assert len(weighted) == 1
     fresh = solver.SchurOperator(mesh, p)
     fresh.set_mobility(coeff)
-    assert np.array_equal(S.data, fresh.assemble(ddpsi, 1e-3).data)
+    assert np.array_equal(S.data, fresh.assemble(ddpsi, mesh.lumped / 1e-3).data)
     assert np.array_equal(op.Km.data, fresh.Km.data)
 
 
