@@ -29,7 +29,6 @@ from .model import (
 )
 from .planar import (
     ModeIndex,
-    PlanarConfig,
     PlanarTrajectory,
     StabilityRow,
     amplification,

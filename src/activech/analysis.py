@@ -16,7 +16,7 @@ from .errors import ConfigurationError, MeasurementError, NumericalError, Tracki
 from .mesh import NodalField, StructuredMesh
 from .model import PhaseFieldParams, derive_sharp_params
 from .output import OutputOptions
-from .planar import PlanarConfig, integrate_q
+from .planar import integrate_q
 from .solver import SolverConfig, max_mesh_size, run_simulation
 
 #: growth_window's linear regime: from GROWTH_TAKEOFF times the initial
@@ -226,7 +226,7 @@ def reference_front_position(p: PhaseFieldParams, length_L: float, width_Lt: flo
                              q0: float, t_end: float) -> float:
     """Sharp-interface front position from the planar ODE, at step ``REFERENCE_DT``."""
     sharp = derive_sharp_params(p, length_L, width_Lt)
-    traj = integrate_q(PlanarConfig(sharp=sharp, q0=q0, dt=REFERENCE_DT, t_end=t_end))
+    traj = integrate_q(sharp, q0, REFERENCE_DT, t_end)
     if traj.boundary_hit:
         raise ConfigurationError("reference front left the domain before t_end")
     return float(traj.q[-1])

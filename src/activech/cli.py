@@ -38,7 +38,6 @@ from .model import (
 from .output import OutputOptions, write_table
 from .planar import (
     ModeIndex,
-    PlanarConfig,
     amplification,
     beta_crit,
     enumerate_modes,
@@ -107,7 +106,7 @@ def _front_position(sharp, given: float | None, flag: str) -> float:
     """``given`` if set, else the stationary root of H, else NumericalError."""
     if given is not None:
         return given
-    q = find_stationary(PlanarConfig(sharp=sharp, q0=sharp.length_L / 2))
+    q = find_stationary(sharp)
     if q is None:
         raise NumericalError(f"no stationary front exists; give {flag} explicitly")
     return q
@@ -147,10 +146,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_sharp_ode(args) -> int:
     sharp = derive_sharp_params(_params_from_flags(args), args.L, args.Lt)
     q0 = _front_position(sharp, args.q0, "--q0")
-    cfg = PlanarConfig(sharp=sharp, q0=q0, dt=args.dt, t_end=args.t_end)
-    traj = integrate_q(cfg, output_stride=args.stride)
+    traj = integrate_q(sharp, q0, args.dt, args.t_end, output_stride=args.stride)
     write_table(args.out, ["t", "q", "H"],
-                ((t, q, velocity_H(cfg, float(q))) for t, q in zip(traj.times, traj.q)))
+                ((t, q, velocity_H(sharp, float(q))) for t, q in zip(traj.times, traj.q)))
     if traj.boundary_hit:
         print("warning: front reached the domain boundary; trajectory truncated",
               file=sys.stderr)
@@ -217,6 +215,7 @@ def _cmd_modes(args) -> int:
     modes_lmax = cfg.modes_lmax if cfg.modes_lmax is not None else 10
     if modes_lmax < 1:
         raise ConfigurationError(f"[output] modes_lmax: modes needs at least 1, got {modes_lmax}")
+    sharp = derive_sharp_params(cfg.phase_field_params(), cfg.lengths[0], cfg.lengths[1])
     record = _run_configured(cfg, modes_lmax)
     if record.mode_amps is None:
         raise NumericalError("mode extraction produced no data")
@@ -226,7 +225,6 @@ def _cmd_modes(args) -> int:
     write_table(out_dir / "modes.csv", ["t"] + [f"A{l}" for l in range(l_max + 1)],
                 np.column_stack([record.times, record.mode_amps]))
     dominant = ModeSpectrum(record.mode_amps[-1], l_max).dominant()
-    sharp = derive_sharp_params(cfg.phase_field_params(), cfg.lengths[0], cfg.lengths[1])
     q_for_rate = record.q_h[0] if math.isfinite(record.q_h[0]) else cfg.lengths[0] / 2
     predicted = amplification(sharp, cfg.beta, q_for_rate, ModeIndex.of(dominant)).growth_rate
     amps = np.abs(record.mode_amps[:, dominant])

@@ -112,54 +112,42 @@ class PhaseFieldParams:
 class SharpParams:
     """Constants of the sharp-interface limit on a planar box.
 
-    ``d_plus``/``d_minus`` are ``None`` when the corresponding ``rho`` is
-    zero; ``lambda`` entries are ``None`` unless ``rho > 0``.  Planar
-    operations reject such configurations.
+    Valid by construction: rho+-, lambda+-, L and Lt are positive and
+    finite, and d+-, gamma and S_I are finite, so every planar formula
+    accepts any instance.
     """
 
     rho_plus: float
     rho_minus: float
-    d_plus: float | None
-    d_minus: float | None
-    lambda_plus: float | None
-    lambda_minus: float | None
+    d_plus: float
+    d_minus: float
+    lambda_plus: float
+    lambda_minus: float
     gamma: float
     s_interface: float
     length_L: float
     width_Lt: float
 
     def __post_init__(self):
-        _require_finite(self, ("length_L", "width_Lt"), positive=True)
+        _require_finite(self, ("rho_plus", "rho_minus", "lambda_plus", "lambda_minus",
+                               "length_L", "width_Lt"), positive=True)
+        _require_finite(self, ("d_plus", "d_minus", "gamma", "s_interface"))
 
     @property
     def m_plus(self) -> float:
-        self.require_planar()
         return self.rho_plus / self.lambda_plus**2
 
     @property
     def m_minus(self) -> float:
-        self.require_planar()
         return self.rho_minus / self.lambda_minus**2
 
     @property
     def s_plus(self) -> float:
-        self.require_planar()
         return self.d_plus * self.rho_plus
 
     @property
     def s_minus(self) -> float:
-        self.require_planar()
         return self.d_minus * self.rho_minus
-
-    def require_planar(self):
-        """Raise unless rho+- > 0 (needed by every planar formula)."""
-        if self.rho_plus <= 0.0 or self.rho_minus <= 0.0:
-            raise ConfigurationError(
-                "planar sharp-interface formulas require rho_plus > 0 and rho_minus > 0; "
-                f"got rho_plus={self.rho_plus}, rho_minus={self.rho_minus}"
-            )
-        if self.lambda_plus is None or self.lambda_minus is None:
-            raise ConfigurationError("lambda_plus/lambda_minus undefined for this configuration")
 
 
 @dataclass(frozen=True)
@@ -360,16 +348,16 @@ def rho_from_rates(beta: float, pot: DoubleWellPotential,
 def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -> SharpParams:
     """Compute the sharp-interface constants implied by ``p``.
 
-    ``d_+-`` is reported as ``None`` (not zero) when ``rho_+- = 0``; the
-    planar module rejects such configurations since its formulas divide
-    by ``rho``.
+    Raises ``ConfigurationError`` unless rho+- > 0: every planar formula
+    divides by rho.
     """
     pot = p.potential
     rho_plus, rho_minus = rho_from_rates(p.beta, pot, p.reaction.k_plus, p.reaction.k_minus)
-    d_plus = p.reaction.s_plus / rho_plus if rho_plus != 0.0 else None
-    d_minus = p.reaction.s_minus / rho_minus if rho_minus != 0.0 else None
-    lam_plus = math.sqrt(rho_plus / p.mobility.m_plus) if rho_plus > 0.0 else None
-    lam_minus = math.sqrt(rho_minus / p.mobility.m_minus) if rho_minus > 0.0 else None
+    if not (rho_plus > 0.0 and rho_minus > 0.0):
+        raise ConfigurationError(
+            "planar sharp-interface formulas require rho_plus > 0 and rho_minus > 0; "
+            f"got rho_plus={rho_plus}, rho_minus={rho_minus}"
+        )
     if p.reaction.r_c == 1.0:
         s_interface = si_closed_form(p.reaction, pot)
     else:
@@ -377,10 +365,10 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
     return SharpParams(
         rho_plus=rho_plus,
         rho_minus=rho_minus,
-        d_plus=d_plus,
-        d_minus=d_minus,
-        lambda_plus=lam_plus,
-        lambda_minus=lam_minus,
+        d_plus=p.reaction.s_plus / rho_plus,
+        d_minus=p.reaction.s_minus / rho_minus,
+        lambda_plus=math.sqrt(rho_plus / p.mobility.m_plus),
+        lambda_minus=math.sqrt(rho_minus / p.mobility.m_minus),
         gamma=GAMMA_QUARTIC,
         s_interface=s_interface,
         length_L=length_L,
@@ -392,11 +380,9 @@ def nondimensionalize(p: PhaseFieldParams, sharp: SharpParams) -> NondimReport:
     """Characteristic scales built from the minus-phase quantities."""
     rho_minus = sharp.rho_minus
     s_minus = p.reaction.s_minus
-    if rho_minus <= 0.0 or s_minus <= 0.0:
+    if s_minus <= 0.0:
         raise ConfigurationError(
-            "nondimensionalization requires rho_minus > 0 and S_minus > 0; "
-            f"got rho_minus={rho_minus}, S_minus={s_minus}"
-        )
+            f"nondimensionalization requires S_minus > 0; got S_minus={s_minus}")
     m_minus = p.mobility.m_minus
     x_tilde = math.sqrt(m_minus / rho_minus)
     mu_tilde = s_minus / rho_minus

@@ -158,7 +158,6 @@ class RunWriter:
         self.dir = Path(opts.directory)
         self.dir.mkdir(parents=True, exist_ok=True)
         self._manifest = {}
-        self._last = None
 
     def start_manifest(self, warnings_sink):
         from . import __version__
@@ -181,7 +180,6 @@ class RunWriter:
                            json.dumps(self._manifest, indent=2, default=str) + "\n")
 
     def snapshot(self, step: int, t: float, phi: np.ndarray, mu: np.ndarray):
-        self._last = (step, t, phi.copy(), mu.copy())
         if self.opts.vtk:
             write_vtk(self.dir / f"snap_{step:06d}.vtk", self.mesh,
                       {"phi": phi, "mu": mu}, title=f"t = {_fmt(t)}")
@@ -206,9 +204,10 @@ class RunWriter:
         header = ["t", "mass", "energy", "q_h"] + [f"mode_{l}" for l in range(amps.shape[1])]
         write_table(self.dir / "diag.csv", header, np.column_stack(
             [record.times, record.mass, record.energy, record.q_h, amps]))
-        if self.opts.checkpoint and self._last is not None:
-            step, t, phi, mu = self._last
-            write_checkpoint(self.dir / "checkpoint.bin", self.mesh, t, step, phi, mu)
+        state = record.state
+        if self.opts.checkpoint and state is not None:
+            write_checkpoint(self.dir / "checkpoint.bin", self.mesh, state.t, state.step,
+                             state.phi.values, state.mu.values)
         self._manifest["end_time"] = datetime.now(timezone.utc).isoformat()
         self._manifest["newton_iterations"] = record.newton_iters
         self._manifest["solver"] = record.solver_counts

@@ -13,29 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import SharpParams, _require_finite
+from .model import SharpParams
 
 _NORMALIZED_TOL = 1e-12
 #: Bisection for the stationary front stops once |H| falls below STATIONARY_TOL.
 STATIONARY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PlanarConfig:
-    """Planar front problem: sharp constants, initial position, ODE stepping."""
-
-    sharp: SharpParams
-    q0: float
-    dt: float = 1e-4
-    t_end: float = 1.0
-
-    def __post_init__(self):
-        self.sharp.require_planar()
-        if not (0.0 < self.q0 < self.sharp.length_L):
-            raise ConfigurationError(
-                f"q0 must lie in (0, {self.sharp.length_L}), got {self.q0}")
-        _require_finite(self, ("dt",), positive=True)
-        _require_finite(self, ("t_end",))
 
 
 @dataclass(frozen=True)
@@ -79,12 +61,11 @@ class StabilityRow:
 # chemical potentials and front velocity
 # ---------------------------------------------------------------------------
 
-def mu_planar(cfg: PlanarConfig, side: str, q: float, z) -> float:
+def mu_planar(sharp: SharpParams, side: str, q: float, z) -> float:
     """Quasi-static chemical potential at depth ``z`` for front position ``q``.
 
     ``side`` is "+" (valid for z in [0, q]) or "-" (valid for z in [q, L]).
     """
-    sharp = cfg.sharp
     L = sharp.length_L
     if not (0.0 < q < L):
         raise ValueError(f"front position must lie in (0, {L}), got {q}")
@@ -123,17 +104,17 @@ def _front_velocity(sharp: SharpParams):
     return H
 
 
-def velocity_H(cfg: PlanarConfig, q: float) -> float:
+def velocity_H(sharp: SharpParams, q: float) -> float:
     """Right-hand side of the front ODE dq/dt = H(q)."""
-    if not (0.0 < q < cfg.sharp.length_L):
-        raise ValueError(f"front position must lie in (0, {cfg.sharp.length_L}), got {q}")
-    return _front_velocity(cfg.sharp)(q)
+    if not (0.0 < q < sharp.length_L):
+        raise ValueError(f"front position must lie in (0, {sharp.length_L}), got {q}")
+    return _front_velocity(sharp)(q)
 
 
-def find_stationary(cfg: PlanarConfig) -> float | None:
+def find_stationary(sharp: SharpParams) -> float | None:
     """Root of H to ``STATIONARY_TOL`` by bisection; ``None`` without a sign change."""
-    H = _front_velocity(cfg.sharp)
-    L = cfg.sharp.length_L
+    H = _front_velocity(sharp)
+    L = sharp.length_L
     delta = 1e-12 * L
     lo, hi = delta, L - delta
     f_lo, f_hi = H(lo), H(hi)
@@ -166,12 +147,10 @@ class PlanarTrajectory:
     q: np.ndarray
     boundary_hit: bool = False
 
-    def final(self) -> tuple[float, float]:
-        return float(self.times[-1]), float(self.q[-1])
 
-
-def integrate_q(cfg: PlanarConfig, output_stride: int = 1) -> PlanarTrajectory:
-    """Integrate dq/dt = H(q) with the classical 4th-order one-step method.
+def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
+                output_stride: int = 1) -> PlanarTrajectory:
+    """Integrate dq/dt = H(q) from q(0) = ``q0`` to ``t_end`` with RK4 steps of ``dt``.
 
     Samples the trajectory every ``output_stride`` steps (the final state is
     always included).  If a stage point or the new position leaves (0, L),
@@ -179,17 +158,22 @@ def integrate_q(cfg: PlanarConfig, output_stride: int = 1) -> PlanarTrajectory:
     """
     if output_stride < 1:
         raise ConfigurationError("output_stride must be >= 1")
-    H = _front_velocity(cfg.sharp)
-    L = cfg.sharp.length_L
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
-    if abs(n_steps * dt - cfg.t_end) > 1e-9 * max(1.0, abs(cfg.t_end)):
+    L = sharp.length_L
+    if not (0.0 < q0 < L):
+        raise ConfigurationError(f"q0 must lie in (0, {L}), got {q0}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(t_end):   # int(round(nan)) would raise a bare ValueError
+        raise ConfigurationError(f"t_end must be finite, got {t_end}")
+    H = _front_velocity(sharp)
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigurationError(
-            f"t_end={cfg.t_end} is not an integer multiple of dt={dt}")
+            f"t_end={t_end} is not an integer multiple of dt={dt}")
 
     times = [0.0]
-    qs = [cfg.q0]
-    q = cfg.q0
+    qs = [q0]
+    q = q0
     hit = False
     for n in range(1, n_steps + 1):
         k1 = H(q)
@@ -216,16 +200,12 @@ def integrate_q(cfg: PlanarConfig, output_stride: int = 1) -> PlanarTrajectory:
 
 def _is_normalized_setting(sharp: SharpParams, q: float) -> bool:
     """S+ = -1, S- = m+- = rho+- = 1 with the front at its root L/2."""
-    try:
-        checks = (
-            abs(sharp.d_plus + 1.0), abs(sharp.d_minus - 1.0),
-            abs(sharp.lambda_plus - 1.0), abs(sharp.lambda_minus - 1.0),
-            abs(sharp.m_plus - 1.0), abs(sharp.m_minus - 1.0),
-            abs(q - 0.5 * sharp.length_L),
-        )
-    except ConfigurationError:
-        return False
-    return max(checks) < _NORMALIZED_TOL
+    return max(
+        abs(sharp.d_plus + 1.0), abs(sharp.d_minus - 1.0),
+        abs(sharp.lambda_plus - 1.0), abs(sharp.lambda_minus - 1.0),
+        abs(sharp.m_plus - 1.0), abs(sharp.m_minus - 1.0),
+        abs(q - 0.5 * sharp.length_L),
+    ) < _NORMALIZED_TOL
 
 
 def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) -> StabilityRow:
@@ -236,7 +216,6 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
     The front may be non-stationary: the factor is evaluated with the front
     frozen at ``q``.
     """
-    sharp.require_planar()
     L, Lt = sharp.length_L, sharp.width_Lt
     if not (0.0 < q < L):
         raise ConfigurationError(f"front position must lie in (0, {L}), got {q}")

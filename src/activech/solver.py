@@ -191,13 +191,10 @@ class SchurOperator:
     def set_mobility(self, coeff: np.ndarray) -> sparse.csr_matrix:
         """Take Km from per-element mobility ``coeff``; returns Km.
 
-        Km is one matrix whose values are rewritten whenever ``coeff`` changes.
+        Km is one matrix whose values are rewritten on every call.
         """
         if self.S is None:
             self._build()
-        elif np.array_equal(coeff, self._coeff):
-            return self.Km
-        self._coeff = np.array(coeff)
         offs = self._k_offsets
         _, km = stencil_bands(self.mesh, coeff)
         np.take(km, self._km_gather, out=self.Km.data)

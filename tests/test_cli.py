@@ -219,6 +219,14 @@ def test_stability_invalid_input_exit_code(capsys, flags):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("stability", "--rhoplus"),
+                                           ("sharp-ode", "--rhominus")])
+def test_zero_rho_exit_code(tmp_path, capsys, command, flag):
+    assert main([command, *SHARP_FLAGS, flag, "0", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "require rho_plus > 0 and rho_minus > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_sharp_ode_stationary_is_constant(tmp_path):
     out = tmp_path / "ode.csv"
     code = main(["sharp-ode", "--beta", "0.1", "--splus", "-1", "--sminus", "1",
@@ -339,6 +347,13 @@ def test_modes_warns_without_takeoff(tmp_path, capsys):
     assert "not the linear regime" in captured.err
     lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
     assert lines[0] == "t,A0,A1,A2,A3,A4"
+
+
+def test_modes_rejects_zero_rate_before_simulating(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MODES_CFG.replace("s_minus = 8", "s_minus = 8\nk_plus = 0"))
+    assert main(["modes", "--config", cfg, "--out", str(tmp_path / "m")]) == 1
+    assert "require rho_plus > 0 and rho_minus > 0" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_check_passes():

@@ -1,5 +1,6 @@
 """Tests for the continuous model layer."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -285,12 +286,21 @@ def test_derive_sharp_si_values(quartic):
 
 
 def test_derive_sharp_zero_rho_flagged(quartic):
-    sharp = ac.derive_sharp_params(_params(quartic, k_plus=0.0), 1.0, 1.0)
-    assert sharp.rho_plus == 0.0
-    assert sharp.d_plus is None
-    assert sharp.lambda_plus is None
-    with pytest.raises(ac.ConfigurationError):
-        sharp.require_planar()
+    # rho = K / (2 beta) must be > 0, so K+ = 0 and K- < 0 are rejected where
+    # the constants are built
+    with pytest.raises(ac.ConfigurationError, match="rho_plus > 0 and rho_minus > 0"):
+        ac.derive_sharp_params(_params(quartic, k_plus=0.0), 1.0, 1.0)
+    with pytest.raises(ac.ConfigurationError, match="rho_minus=-0.5"):
+        ac.derive_sharp_params(_params(quartic, k_minus=-1.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("rho_plus", 0.0), ("lambda_minus", 0.0), ("d_plus", math.nan), ("s_interface", math.inf),
+])
+def test_sharp_params_rejects_invalid_constants(quartic, name, value):
+    sharp = ac.derive_sharp_params(_params(quartic), 1.0, 1.0)
+    with pytest.raises(ac.ConfigurationError, match=f"{name} must be"):
+        dataclasses.replace(sharp, **{name: value})
 
 
 def test_rho_from_rates_inverts_relaxation_rates(quartic):

@@ -1,5 +1,6 @@
 """Tests for the planar sharp-interface engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,52 +43,48 @@ def table1_sharp():
 # ---------------------------------------------------------------------------
 
 def test_mu_vanishes_at_front(table1_sharp):
-    cfg = ac.PlanarConfig(sharp=table1_sharp, q0=0.3)
     for q in (0.2, 0.5, 0.8):
-        assert ac.mu_planar(cfg, "+", q, q) == pytest.approx(0.0, abs=1e-14)
-        assert ac.mu_planar(cfg, "-", q, q) == pytest.approx(0.0, abs=1e-14)
+        assert ac.mu_planar(table1_sharp, "+", q, q) == pytest.approx(0.0, abs=1e-14)
+        assert ac.mu_planar(table1_sharp, "-", q, q) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_mu_symmetric_antisymmetry(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.5)
     z = np.linspace(0.0, 0.5, 11)
-    mu_p = ac.mu_planar(cfg, "+", 0.5, z)
-    mu_m = ac.mu_planar(cfg, "-", 0.5, 1.0 - z)
+    mu_p = ac.mu_planar(symmetric, "+", 0.5, z)
+    mu_m = ac.mu_planar(symmetric, "-", 0.5, 1.0 - z)
     assert np.max(np.abs(mu_p + mu_m)) < 1e-14
 
 
 def test_mu_zero_slope_at_outer_walls(table1_sharp):
-    cfg = ac.PlanarConfig(sharp=table1_sharp, q0=0.3)
     h = 1e-5
     # cosh is even about the wall, so one-sided slope is O(h)
-    slope_plus = (ac.mu_planar(cfg, "+", 0.4, h) - ac.mu_planar(cfg, "+", 0.4, 0.0)) / h
-    slope_minus = (ac.mu_planar(cfg, "-", 0.4, 1.0) - ac.mu_planar(cfg, "-", 0.4, 1.0 - h)) / h
+    mu = ac.mu_planar
+    slope_plus = (mu(table1_sharp, "+", 0.4, h) - mu(table1_sharp, "+", 0.4, 0.0)) / h
+    slope_minus = (mu(table1_sharp, "-", 0.4, 1.0) - mu(table1_sharp, "-", 0.4, 1.0 - h)) / h
     assert abs(slope_plus) < 1e-3
     assert abs(slope_minus) < 1e-3
 
 
 def test_mu_domain_errors(table1_sharp):
-    cfg = ac.PlanarConfig(sharp=table1_sharp, q0=0.3)
     with pytest.raises(ValueError):
-        ac.mu_planar(cfg, "+", 0.3, 0.31)
+        ac.mu_planar(table1_sharp, "+", 0.3, 0.31)
     with pytest.raises(ValueError):
-        ac.mu_planar(cfg, "-", 0.3, 0.29)
+        ac.mu_planar(table1_sharp, "-", 0.3, 0.29)
     with pytest.raises(ValueError):
-        ac.mu_planar(cfg, "x", 0.3, 0.1)
+        ac.mu_planar(table1_sharp, "x", 0.3, 0.1)
 
 
 def test_mu_satisfies_bulk_ode(table1_sharp):
     # -m mu'' + rho mu - S = 0, checked by centered differences
-    cfg = ac.PlanarConfig(sharp=table1_sharp, q0=0.3)
     sharp = table1_sharp
     q, h = 0.37, 1e-4
     z_p = np.linspace(2 * h, q - 2 * h, 20)
-    mu = lambda z: ac.mu_planar(cfg, "+", q, z)
+    mu = lambda z: ac.mu_planar(sharp, "+", q, z)
     mu_zz = (mu(z_p + h) - 2 * mu(z_p) + mu(z_p - h)) / h**2
     res = -sharp.m_plus * mu_zz + sharp.rho_plus * mu(z_p) - sharp.s_plus
     assert np.max(np.abs(res)) < 1e-6 * abs(sharp.s_plus)
     z_m = np.linspace(q + 2 * h, 1.0 - 2 * h, 20)
-    mu = lambda z: ac.mu_planar(cfg, "-", q, z)
+    mu = lambda z: ac.mu_planar(sharp, "-", q, z)
     mu_zz = (mu(z_m + h) - 2 * mu(z_m) + mu(z_m - h)) / h**2
     res = -sharp.m_minus * mu_zz + sharp.rho_minus * mu(z_m) - sharp.s_minus
     assert np.max(np.abs(res)) < 1e-6 * abs(sharp.s_minus)
@@ -98,14 +95,12 @@ def test_mu_satisfies_bulk_ode(table1_sharp):
 # ---------------------------------------------------------------------------
 
 def test_velocity_symmetric_root_at_half(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.5)
-    assert ac.velocity_H(cfg, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert ac.velocity_H(symmetric, 0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_velocity_strictly_decreasing(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.5)
     q = np.linspace(0.01, 0.99, 99)
-    vals = np.array([ac.velocity_H(cfg, float(x)) for x in q])
+    vals = np.array([ac.velocity_H(symmetric, float(x)) for x in q])
     assert np.all(np.diff(vals) < 0.0)
 
 
@@ -119,39 +114,34 @@ def test_velocity_table1_value(table1_sharp):
     s_i = (SQRT2 / 2) * (k_p - k_m) + (2 * SQRT2 / 3) * (-1.0)
     expected = 0.5 * (d_p * lam_p * math.tanh(lam_p * 0.3)
                       + d_m * lam_m * math.tanh(lam_m * 0.7) + s_i)
-    cfg = ac.PlanarConfig(sharp=table1_sharp, q0=0.3)
-    assert ac.velocity_H(cfg, 0.3) == pytest.approx(expected, abs=1e-14)
+    assert ac.velocity_H(table1_sharp, 0.3) == pytest.approx(expected, abs=1e-14)
     # frozen regression value
-    assert ac.velocity_H(cfg, 0.3) == pytest.approx(0.8241515873201051, abs=1e-12)
+    assert ac.velocity_H(table1_sharp, 0.3) == pytest.approx(0.8241515873201051, abs=1e-12)
 
 
 def test_velocity_domain_error(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.5)
     for q in (-0.1, 0.0, 1.0, 1.5):
         with pytest.raises(ValueError):
-            ac.velocity_H(cfg, q)
+            ac.velocity_H(symmetric, q)
 
 
 def test_find_stationary_symmetric(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.3)
-    q_star = ac.find_stationary(cfg)
+    q_star = ac.find_stationary(symmetric)
     assert q_star == pytest.approx(0.5, abs=1e-10)
-    assert abs(ac.velocity_H(cfg, q_star)) < 1e-12
+    assert abs(ac.velocity_H(symmetric, q_star)) < 1e-12
 
 
 def test_find_stationary_absent():
     # d+ > 0 and d- > 0 with S_I = 0: H > 0 everywhere
     sharp = make_sharp(s_plus=1.0, s_minus=1.0)
-    cfg = ac.PlanarConfig(sharp=sharp, q0=0.5)
     q = np.linspace(0.01, 0.99, 50)
-    assert all(ac.velocity_H(cfg, float(x)) > 0 for x in q)
-    assert ac.find_stationary(cfg) is None
+    assert all(ac.velocity_H(sharp, float(x)) > 0 for x in q)
+    assert ac.find_stationary(sharp) is None
 
 
 def test_find_stationary_unique_sign_change(table1_sharp):
-    cfg = ac.PlanarConfig(sharp=table1_sharp, q0=0.3)
     q = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
-    vals = np.array([ac.velocity_H(cfg, float(x)) for x in q])
+    vals = np.array([ac.velocity_H(table1_sharp, float(x)) for x in q])
     assert int(np.sum(np.diff(np.sign(vals)) != 0)) == 1
 
 
@@ -160,25 +150,23 @@ def test_find_stationary_unique_sign_change(table1_sharp):
 # ---------------------------------------------------------------------------
 
 def test_integrate_equilibrium_is_constant(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.5, dt=1e-3, t_end=0.5)
-    traj = ac.integrate_q(cfg)
+    traj = ac.integrate_q(symmetric, 0.5, 1e-3, 0.5)
     assert np.max(np.abs(traj.q - 0.5)) < 1e-12
     assert not traj.boundary_hit
 
 
 def test_integrate_fourth_order(table1_sharp):
-    ref = ac.integrate_q(ac.PlanarConfig(sharp=table1_sharp, q0=0.3, dt=1e-5, t_end=0.5))
+    ref = ac.integrate_q(table1_sharp, 0.3, 1e-5, 0.5)
     e = []
     for dt in (1e-2, 5e-3):
-        traj = ac.integrate_q(ac.PlanarConfig(sharp=table1_sharp, q0=0.3, dt=dt, t_end=0.5))
+        traj = ac.integrate_q(table1_sharp, 0.3, dt, 0.5)
         e.append(abs(traj.q[-1] - ref.q[-1]))
     # halving dt shrinks the error by ~2^4
     assert e[1] < e[0] / 12.0
 
 
 def test_integrate_monotone_to_stationary(symmetric):
-    cfg = ac.PlanarConfig(sharp=symmetric, q0=0.3, dt=1e-3, t_end=10.0)
-    traj = ac.integrate_q(cfg, output_stride=100)
+    traj = ac.integrate_q(symmetric, 0.3, 1e-3, 10.0, output_stride=100)
     assert np.all(np.diff(traj.q) > -1e-15)
     # approach rate is |H'(q*)| = sech^2(1/2), so the gap at t=10 is ~8e-5
     assert traj.q[-1] == pytest.approx(0.5, abs=2e-4)
@@ -187,11 +175,9 @@ def test_integrate_monotone_to_stationary(symmetric):
 def test_integrate_boundary_hit():
     # strictly positive H drives the front into the right wall
     sharp = make_sharp(s_plus=5.0, s_minus=5.0)
-    cfg = ac.PlanarConfig(sharp=sharp, q0=0.9, dt=1e-2, t_end=10.0)
-    traj = ac.integrate_q(cfg)
+    traj = ac.integrate_q(sharp, 0.9, 1e-2, 10.0)
     assert traj.boundary_hit
     assert traj.times[-1] < 10.0
-
 
 
 def test_integrate_stage_leaving_domain_is_a_boundary_hit():
@@ -201,9 +187,19 @@ def test_integrate_stage_leaving_domain_is_a_boundary_hit():
         rho_plus=400.0, rho_minus=400.0, d_plus=-1.0, d_minus=1.0,
         lambda_plus=20.0, lambda_minus=20.0, gamma=1.0, s_interface=5.0,
         length_L=1.0, width_Lt=1.0)
-    traj = ac.integrate_q(ac.PlanarConfig(sharp=sharp, q0=0.8, dt=0.1, t_end=0.1))
+    traj = ac.integrate_q(sharp, 0.8, 0.1, 0.1)
     assert traj.boundary_hit
-    assert traj.final() == (0.0, 0.8)
+    assert (traj.times[-1], traj.q[-1]) == (0.0, 0.8)
+
+
+@pytest.mark.parametrize("q0, dt, t_end, stride", [
+    (0.0, 1e-3, 0.1, 1), (1.0, 1e-3, 0.1, 1), (0.5, 0.0, 0.1, 1), (0.5, math.nan, 0.1, 1),
+    (0.5, 1e-3, math.nan, 1), (0.5, 1e-3, math.inf, 1), (0.5, 1e-3, 0.1, 0),
+])
+def test_integrate_rejects_invalid_input(symmetric, q0, dt, t_end, stride):
+    with pytest.raises(ac.ConfigurationError):
+        ac.integrate_q(symmetric, q0, dt, t_end, output_stride=stride)
+
 
 # ---------------------------------------------------------------------------
 # linear stability
@@ -249,11 +245,10 @@ def test_amplification_vs_velocity_derivative_random():
         sharp = make_sharp(beta=beta, s_plus=-rng.uniform(0.1, 5.0),
                            s_minus=rng.uniform(0.1, 5.0), rho_plus=rho_p,
                            rho_minus=rho_m, m_plus=m_p, m_minus=m_m, l_coef=l_coef)
-        cfg = ac.PlanarConfig(sharp=sharp, q0=0.5)
-        q_star = ac.find_stationary(cfg)
+        q_star = ac.find_stationary(sharp)
         assert q_star is not None
         h = 1e-6
-        fd = (ac.velocity_H(cfg, q_star + h) - ac.velocity_H(cfg, q_star - h)) / (2 * h)
+        fd = (ac.velocity_H(sharp, q_star + h) - ac.velocity_H(sharp, q_star - h)) / (2 * h)
         row = ac.amplification(sharp, beta, q_star, ac.ModeIndex.of(0))
         assert row.factor / 2 == pytest.approx(fd, rel=1e-6, abs=1e-9)
         checked += 1
@@ -270,14 +265,9 @@ def test_amplification_decays_for_large_modes(symmetric):
 def test_amplification_preconditions(symmetric):
     with pytest.raises(ac.ConfigurationError):
         ac.amplification(symmetric, 0.1, 1.5, ac.ModeIndex.of(1))
-    bad = make_sharp()
-    degenerate = ac.SharpParams(
-        rho_plus=0.0, rho_minus=1.0, d_plus=None, d_minus=1.0,
-        lambda_plus=None, lambda_minus=1.0, gamma=bad.gamma,
-        s_interface=0.0, length_L=1.0, width_Lt=1.0,
-    )
+    # a zero rho never reaches the formulas: the constants cannot be built
     with pytest.raises(ac.ConfigurationError):
-        ac.amplification(degenerate, 0.1, 0.5, ac.ModeIndex.of(1))
+        dataclasses.replace(symmetric, rho_plus=0.0)
 
 
 # ---------------------------------------------------------------------------
