@@ -7,6 +7,7 @@ check.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -38,13 +39,13 @@ from .model import (
 from .output import OutputOptions, write_table
 from .planar import (
     ModeIndex,
+    _front_velocity,
     amplification,
     beta_crit,
     enumerate_modes,
     find_stationary,
     integrate_q,
     mode_representatives,
-    velocity_H,
 )
 from .solver import SolverConfig, run_simulation
 
@@ -147,8 +148,9 @@ def _cmd_sharp_ode(args) -> int:
     sharp = derive_sharp_params(_params_from_flags(args), args.L, args.Lt)
     q0 = _front_position(sharp, args.q0, "--q0")
     traj = integrate_q(sharp, q0, args.dt, args.t_end, output_stride=args.stride)
+    H = _front_velocity(sharp)   # the trajectory keeps q inside (0, L)
     write_table(args.out, ["t", "q", "H"],
-                ((t, q, velocity_H(sharp, float(q))) for t, q in zip(traj.times, traj.q)))
+                ((t, q, H(float(q))) for t, q in zip(traj.times, traj.q)))
     if traj.boundary_hit:
         print("warning: front reached the domain boundary; trajectory truncated",
               file=sys.stderr)
@@ -250,15 +252,13 @@ def _parse_sweep(flag: str, text: str) -> list[float]:
 
 def _cmd_si_table(args) -> int:
     pot = DoubleWellPotential.quartic()
+    sweeps = [_parse_sweep(f"--{name}", getattr(args, name))
+              for name in ("rc", "kplus", "kminus", "lcoef")]
     rows = []
-    for r_c in _parse_sweep("--rc", args.rc):
-        for k_plus in _parse_sweep("--kplus", args.kplus):
-            for k_minus in _parse_sweep("--kminus", args.kminus):
-                for l_coef in _parse_sweep("--lcoef", args.lcoef):
-                    spec = ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=k_plus,
-                                        k_minus=k_minus, l_coef=l_coef, r_c=r_c)
-                    rows.append((k_plus, k_minus, l_coef, r_c,
-                                 si_quadrature(spec, pot)))
+    for r_c, k_plus, k_minus, l_coef in itertools.product(*sweeps):
+        spec = ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=k_plus,
+                            k_minus=k_minus, l_coef=l_coef, r_c=r_c)
+        rows.append((k_plus, k_minus, l_coef, r_c, si_quadrature(spec, pot)))
     write_table(args.out, ["k_plus", "k_minus", "l_coef", "r_c", "s_i"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

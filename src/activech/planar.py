@@ -152,9 +152,12 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
                 output_stride: int = 1) -> PlanarTrajectory:
     """Integrate dq/dt = H(q) from q(0) = ``q0`` to ``t_end`` with RK4 steps of ``dt``.
 
-    Samples the trajectory every ``output_stride`` steps (the final state is
-    always included).  If a stage point or the new position leaves (0, L),
-    the integration stops and the trajectory is flagged instead of raising.
+    ``t_end`` must be finite and >= 0.  Samples the trajectory every
+    ``output_stride`` steps (the final state is always included).  If a stage
+    point or the new position leaves (0, L), the integration stops and the
+    trajectory is flagged instead of raising.  The step map is autonomous, so
+    once a step returns its input bit for bit every later step does too: the
+    loop stops there and fills the remaining samples with that q.
     """
     if output_stride < 1:
         raise ConfigurationError("output_stride must be >= 1")
@@ -163,8 +166,8 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
         raise ConfigurationError(f"q0 must lie in (0, {L}), got {q0}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    if not math.isfinite(t_end):   # int(round(nan)) would raise a bare ValueError
-        raise ConfigurationError(f"t_end must be finite, got {t_end}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):   # int(round(nan)) would raise ValueError
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     H = _front_velocity(sharp)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
@@ -186,6 +189,13 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
         q_new = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (0.0 < q2 < L and 0.0 < q3 < L and 0.0 < q4 < L and 0.0 < q_new < L):
             hit = True
+            break
+        if q_new == q:   # fixed point: samples k >= n on the stride, and n_steps
+            ks = range(-(-n // output_stride) * output_stride, n_steps + 1, output_stride)
+            times.extend(k * dt for k in ks)
+            if not ks or ks[-1] != n_steps:
+                times.append(n_steps * dt)
+            qs.extend([q] * (len(times) - len(qs)))
             break
         q = q_new
         if n % output_stride == 0 or n == n_steps:

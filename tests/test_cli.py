@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import activech as ac
-from activech import solver
+from activech import cli, model, solver
 from activech.cli import main
 
 
@@ -213,6 +213,14 @@ def test_sharp_ode_nonfinite_input_exit_code(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_sharp_ode_negative_t_end_exit_code(tmp_path, capsys):
+    out = tmp_path / "ode.csv"
+    assert main(["sharp-ode", *SHARP_FLAGS, "--q0", "0.3", "--t-end", "-1",
+                 "--out", str(out)]) == 1
+    assert "t_end must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--Lt", "0"], ["--Lt", "nan"], ["--lmax", "-3"]])
 def test_stability_invalid_input_exit_code(capsys, flags):
     assert main(["stability", *SHARP_FLAGS, *flags]) == 1
@@ -294,6 +302,41 @@ def test_si_table_rejects_malformed_sweep(tmp_path, capsys):
     assert main(["si-table", "--kplus", "abc", "--out", str(out)]) == 1
     assert "configuration error: --kplus" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_si_table_builds_one_rule_per_r_c(tmp_path, monkeypatch):
+    calls = []
+    gauss_rule = model._gauss_rule
+
+    def counting_gauss_rule(breaks):
+        calls.append(len(breaks))
+        return gauss_rule(breaks)
+
+    monkeypatch.setattr(model, "_gauss_rule", counting_gauss_rule)
+    model._profile_rule.cache_clear()
+    out = tmp_path / "si.csv"
+    assert main(["si-table", "--rc", "0.5,0.6,0.7,0.8,0.9,1", "--kplus", "0.1,0.5,1,2",
+                 "--kminus", "0.1,0.5,1,2", "--lcoef", "0,0.5", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 192
+    assert calls == [4, 4, 4, 4, 4, 2]
+
+
+def test_si_table_parses_each_sweep_once(tmp_path, capsys, monkeypatch):
+    flags = []
+    parse_sweep = cli._parse_sweep
+
+    def counting_parse_sweep(flag, text):
+        flags.append(flag)
+        return parse_sweep(flag, text)
+
+    monkeypatch.setattr(cli, "_parse_sweep", counting_parse_sweep)
+    out = tmp_path / "si.csv"
+    assert main(["si-table", "--rc", "0.5,1", "--kplus", "0.5,1", "--kminus", "0.5,1",
+                 "--lcoef", "0,0.5", "--out", str(out)]) == 0
+    assert sorted(flags) == ["--kminus", "--kplus", "--lcoef", "--rc"]
+    # a malformed list fails even where an empty one leaves no row to compute
+    assert main(["si-table", "--kminus", "", "--lcoef", "0,x", "--out", str(out)]) == 1
+    assert "configuration error: --lcoef" in capsys.readouterr().err
 
 
 MODES_CFG = """

@@ -169,6 +169,31 @@ def test_source_exactly_affine_outside(quartic):
         assert np.max(np.abs(slope + k / eps)) < 1e-10
 
 
+@pytest.mark.parametrize("r_c", [1.0, 0.7])
+def test_source_clamp_matches_np_clip_bit_for_bit(quartic, r_c):
+    spec = ac.ReactionSpec(s_plus=-1.0, s_minus=4.0, k_plus=0.2, k_minus=0.02,
+                           l_coef=0.5, r_c=r_c)
+    r = np.concatenate([[math.nan, math.inf, -math.inf, 0.0, -0.0, r_c, -r_c, 1.5, -1.5],
+                        np.random.default_rng(3).uniform(-1.5, 1.5, 1000)])
+    # _source_branches written out with np.clip
+    s = np.clip(r / r_c, -1.0, 1.0)
+    g1, (g4, root) = model._g1_hat(s), model._g4_hat(s, quartic)
+    s2_hat = (-spec.k_minus * (r_c * model._g2_hat(s, root))
+              - spec.k_plus * (-r_c * model._g2_hat(-s, root))
+              + spec.l_coef * g4 - spec.k_plus * (r_c - 1.0) * g1
+              - spec.k_minus * (1.0 - r_c) * (1.0 - g1))
+    above, below = r >= r_c, r <= -r_c
+    s1_ref = np.where(above, spec.s_plus, np.where(
+        below, spec.s_minus, spec.s_minus + g1 * (spec.s_plus - spec.s_minus)))
+    s2_ref = np.where(above, -spec.k_plus * (r - 1.0),
+                      np.where(below, -spec.k_minus * (r + 1.0), s2_hat))
+    for got, ref in ((ac.source_S1(spec, quartic, r), s1_ref),
+                     (ac.source_S2(spec, quartic, r), s2_ref),
+                     (model._g_scaled(1, r, r_c, quartic), g1)):
+        assert np.array_equal(np.isnan(got), np.isnan(ref)) and np.isnan(got[0])
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_source_vectorized_matches_scalar(quartic):
     spec = ac.ReactionSpec(s_plus=-1.0, s_minus=4.0, k_plus=0.2, k_minus=0.02,
                            l_coef=-1.0)
@@ -412,6 +437,34 @@ def test_si_quadrature_evaluates_source_once(quartic, monkeypatch):
     spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.7, k_minus=0.4, r_c=0.5)
     ac.si_quadrature(spec, quartic)
     assert len(calls) <= 1
+
+
+def _si_uncached(spec, pot):
+    """si_quadrature with its rule and profile built afresh for each call."""
+    zmax = model._PROFILE_Z_MAX
+    breaks = [-zmax, zmax]
+    if spec.r_c < 1.0:
+        z_c = SQRT2 * math.atanh(spec.r_c)
+        breaks = [-zmax, -z_c, z_c, zmax]
+    z, w = model._gauss_rule(breaks)
+    return float(ac.source_S2(spec, pot, np.tanh(z / SQRT2)) @ w)
+
+
+def test_si_quadrature_equals_the_uncached_rule_bit_for_bit(quartic):
+    ks = (0.1, 0.5, 1.0, 2.0)
+    for r_c in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+        for k_plus in ks:
+            for k_minus in ks:
+                for l_coef in (0.0, 0.5):
+                    spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=k_plus,
+                                           k_minus=k_minus, l_coef=l_coef, r_c=r_c)
+                    assert ac.si_quadrature(spec, quartic) == _si_uncached(spec, quartic)
+
+
+def test_profile_rule_arrays_are_read_only():
+    for array in model._profile_rule(0.5):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_si_closed_form_requires_rc_one(quartic):

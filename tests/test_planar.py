@@ -195,10 +195,75 @@ def test_integrate_stage_leaving_domain_is_a_boundary_hit():
 @pytest.mark.parametrize("q0, dt, t_end, stride", [
     (0.0, 1e-3, 0.1, 1), (1.0, 1e-3, 0.1, 1), (0.5, 0.0, 0.1, 1), (0.5, math.nan, 0.1, 1),
     (0.5, 1e-3, math.nan, 1), (0.5, 1e-3, math.inf, 1), (0.5, 1e-3, 0.1, 0),
+    (0.5, 1e-3, -1.0, 1),
 ])
 def test_integrate_rejects_invalid_input(symmetric, q0, dt, t_end, stride):
     with pytest.raises(ac.ConfigurationError):
         ac.integrate_q(symmetric, q0, dt, t_end, output_stride=stride)
+
+
+def _integrate_q_reference(sharp, q0, dt, t_end, output_stride=1):
+    """The RK4 loop written out, stepping to the end with no fixed-point stop."""
+    H = ac.planar._front_velocity(sharp)
+    L = sharp.length_L
+    n_steps = int(round(t_end / dt))
+    times, qs, q, hit = [0.0], [q0], q0, False
+    for n in range(1, n_steps + 1):
+        k1 = H(q)
+        q2 = q + 0.5 * dt * k1
+        k2 = H(q2)
+        q3 = q + 0.5 * dt * k2
+        k3 = H(q3)
+        q4 = q + dt * k3
+        k4 = H(q4)
+        q_new = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (0.0 < q2 < L and 0.0 < q3 < L and 0.0 < q4 < L and 0.0 < q_new < L):
+            hit = True
+            break
+        q = q_new
+        if n % output_stride == 0 or n == n_steps:
+            times.append(n * dt)
+            qs.append(q)
+    return np.asarray(times), np.asarray(qs), hit
+
+
+@pytest.mark.parametrize("fixture, q0, dt, t_end, stride", [
+    ("symmetric", 0.5, 1e-3, 1.0, 1),
+    ("symmetric", 0.5, 1e-3, 1.0, 7),        # 1 000 steps: the last sample is off the stride
+    ("symmetric", 0.5, 1e-3, 1.0, 100),
+    ("symmetric", 0.5, 1e-3, 0.0, 3),
+    ("symmetric", 0.3, 1e-3, 50.0, 1),       # reaches its fixed point near t = 37
+    ("symmetric", 0.3, 1e-3, 50.0, 7),
+    ("table1_sharp", 0.3, 1e-3, 0.5, 1),
+    ("table1_sharp", 0.3, 1e-3, 0.5, 7),
+])
+def test_integrate_matches_the_full_loop_bit_for_bit(request, fixture, q0, dt, t_end, stride):
+    sharp = request.getfixturevalue(fixture)
+    traj = ac.integrate_q(sharp, q0, dt, t_end, output_stride=stride)
+    times, qs, hit = _integrate_q_reference(sharp, q0, dt, t_end, stride)
+    assert np.array_equal(traj.times, times) and np.array_equal(traj.q, qs)
+    assert traj.boundary_hit == hit
+
+
+def test_integrate_stops_stepping_at_a_fixed_point(symmetric, monkeypatch):
+    calls = []
+    front_velocity = ac.planar._front_velocity
+
+    def counting_front_velocity(sharp):
+        H = front_velocity(sharp)
+
+        def counting_H(q):
+            calls.append(q)
+            return H(q)
+
+        return counting_H
+
+    monkeypatch.setattr(ac.planar, "_front_velocity", counting_front_velocity)
+    # H(q*) is exactly 0 here, so the first step returns its input
+    traj = ac.integrate_q(symmetric, 0.5, 1e-5, 1.0, output_stride=100)
+    assert len(calls) <= 4
+    assert len(traj.times) == 1001 and traj.times[-1] == 100_000 * 1e-5
+    assert np.all(traj.q == 0.5)
 
 
 # ---------------------------------------------------------------------------
