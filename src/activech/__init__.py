@@ -16,11 +16,14 @@ from .model import (
     PhaseFieldParams,
     ReactionSpec,
     SharpParams,
+    ddpsi,
     derive_sharp_params,
+    dpsi,
     interp_G,
     mobility_m,
     nondimensionalize,
     profile_Phi0,
+    psi,
     si_closed_form,
     si_quadrature,
     source_S,

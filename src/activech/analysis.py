@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, MeasurementError, NumericalError, TrackingError
-from .mesh import NodalField, StructuredMesh
+from .mesh import NodalField
 from .model import PhaseFieldParams, derive_sharp_params
 from .output import OutputOptions
 from .planar import integrate_q
@@ -31,8 +31,9 @@ REFERENCE_DT = 1e-5
 # interface tracking
 # ---------------------------------------------------------------------------
 
-def line_values(field: NodalField, mesh: StructuredMesh, line_x2: float = 0.0):
+def line_values(field: NodalField, line_x2: float = 0.0):
     """Nodal values and x1 coordinates along the lattice line x2 = line_x2."""
+    mesh = field.mesh
     if mesh.dim == 1:
         return field.values, mesh.coords[:, 0]
     j = int(round(line_x2 / mesh.h))
@@ -58,14 +59,12 @@ def zero_crossings(values: np.ndarray, coords: np.ndarray) -> list[float]:
     return out
 
 
-def interface_crossings(field: NodalField, mesh: StructuredMesh,
-                        line_x2: float = 0.0) -> list[float]:
+def interface_crossings(field: NodalField, line_x2: float = 0.0) -> list[float]:
     """All sign-change positions of the field along a lattice line."""
-    values, coords = line_values(field, mesh, line_x2)
-    return zero_crossings(values, coords)
+    return zero_crossings(*line_values(field, line_x2))
 
 
-def track_interface(field: NodalField, mesh: StructuredMesh, line_x2: float = 0.0,
+def track_interface(field: NodalField, line_x2: float = 0.0,
                     prev: float | None = None) -> float:
     """Front position: the zero crossing along x2 = line_x2.
 
@@ -73,7 +72,7 @@ def track_interface(field: NodalField, mesh: StructuredMesh, line_x2: float = 0.
     previous value an ambiguous profile is an error, as is a profile with
     no sign change at all.
     """
-    crossings = interface_crossings(field, mesh, line_x2)
+    crossings = interface_crossings(field, line_x2)
     if not crossings:
         raise TrackingError("no sign change along the tracking line")
     if len(crossings) == 1:
@@ -101,8 +100,9 @@ class ModeSpectrum:
         return 1 + int(np.argmax(np.abs(self.amplitudes[1:])))
 
 
-def interface_height(field: NodalField, mesh: StructuredMesh) -> np.ndarray:
+def interface_height(field: NodalField) -> np.ndarray:
     """Front position per lattice row: h(x2_j) from per-row zero crossings."""
+    mesh = field.mesh
     if mesh.dim != 2:
         raise MeasurementError("mode extraction requires a 2D mesh")
     grid = mesh.grid_view(field.values)
@@ -121,9 +121,10 @@ def interface_height(field: NodalField, mesh: StructuredMesh) -> np.ndarray:
     return heights
 
 
-def mode_amplitudes(field: NodalField, mesh: StructuredMesh, l_max: int) -> ModeSpectrum:
+def mode_amplitudes(field: NodalField, l_max: int) -> ModeSpectrum:
     """Trapezoid-weighted cosine projection of the interface height."""
-    heights = interface_height(field, mesh)
+    mesh = field.mesh
+    heights = interface_height(field)
     width = mesh.lengths[1]
     x2 = np.arange(len(heights)) * mesh.h
     trap = np.full(len(heights), mesh.h)
@@ -140,13 +141,13 @@ def mode_amplitudes(field: NodalField, mesh: StructuredMesh, l_max: int) -> Mode
 # ---------------------------------------------------------------------------
 
 def fit_growth_rate(times, amplitudes) -> float:
-    """Least-squares slope of log A(t); amplitudes must be positive."""
+    """Least-squares slope of log A(t); amplitudes must be positive and finite."""
     times = np.asarray(times, dtype=float)
     amps = np.asarray(amplitudes, dtype=float)
     if times.shape != amps.shape or times.size < 2:
         raise ConfigurationError("need at least two (t, A) samples of equal length")
-    if np.any(amps <= 0.0):
-        raise MeasurementError("growth-rate fit window contains nonpositive amplitudes")
+    if not (np.all(np.isfinite(times)) and np.all((amps > 0.0) & (amps < np.inf))):
+        raise MeasurementError("growth-rate fit needs finite times and positive finite amplitudes")
     slope, _ = np.polyfit(times, np.log(amps), 1)
     return float(slope)
 
@@ -183,6 +184,8 @@ def auto_mesh_size(epsilon: float) -> float:
     resolution used for the reference experiments; other epsilon values
     need an explicit h.
     """
+    if not 0.0 < epsilon < math.inf:
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon!r}")
     k = math.log2(1.0 / (math.pi * epsilon))
     if abs(k - round(k)) > 1e-9:
         raise ConfigurationError(
@@ -202,9 +205,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceTable:
     rows: list[ConvergenceRow] = field(default_factory=list)
-
-    def errors(self) -> list[float]:
-        return [r.error for r in self.rows]
 
 
 def eoc_sequence(epsilons, errors) -> list[float | None]:
@@ -251,8 +251,9 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
         raise ConfigurationError(
             f"max_workers must be None or 1 (rungs run serially), got {max_workers!r}")
     epsilons = [float(e) for e in epsilons]
-    if len(epsilons) > 1 and any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise ConfigurationError("epsilon ladder must be strictly decreasing")
+    if not all(0.0 < eps < prev for prev, eps in zip([math.inf] + epsilons, epsilons)):
+        raise ConfigurationError(
+            f"epsilon ladder must be positive, finite and strictly decreasing, got {epsilons}")
     cfg = cfg or SolverConfig()
     q_ref = reference_front_position(p, lengths[0], lengths[1] if len(lengths) > 1 else 1.0,
                                      q0, t_end)

@@ -31,6 +31,7 @@ from .model import (
     derive_sharp_params,
     nondimensionalize,
     profile_Phi0,
+    psi,
     relaxation_rates,
     si_quadrature,
     source_S,
@@ -74,12 +75,11 @@ def _physics_flags(sub):
 
 
 def _params_from_flags(args, epsilon=0.01) -> PhaseFieldParams:
-    pot = DoubleWellPotential.quartic()
-    k_plus, k_minus = relaxation_rates(args.beta, pot, args.rhoplus, args.rhominus)
+    k_plus, k_minus = relaxation_rates(args.beta, args.rhoplus, args.rhominus)
     reaction = ReactionSpec(s_plus=args.splus, s_minus=args.sminus, k_plus=k_plus,
                             k_minus=k_minus, l_coef=args.lcoef, r_c=args.rc)
-    return PhaseFieldParams(beta=args.beta, epsilon=epsilon, potential=pot,
-                            reaction=reaction,
+    return PhaseFieldParams(beta=args.beta, epsilon=epsilon,
+                            potential=DoubleWellPotential.quartic(), reaction=reaction,
                             mobility=MobilitySpec(args.mplus, args.mminus))
 
 
@@ -251,14 +251,13 @@ def _parse_sweep(flag: str, text: str) -> list[float]:
 
 
 def _cmd_si_table(args) -> int:
-    pot = DoubleWellPotential.quartic()
     sweeps = [_parse_sweep(f"--{name}", getattr(args, name))
               for name in ("rc", "kplus", "kminus", "lcoef")]
     rows = []
     for r_c, k_plus, k_minus, l_coef in itertools.product(*sweeps):
         spec = ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=k_plus,
                             k_minus=k_minus, l_coef=l_coef, r_c=r_c)
-        rows.append((k_plus, k_minus, l_coef, r_c, si_quadrature(spec, pot)))
+        rows.append((k_plus, k_minus, l_coef, r_c, si_quadrature(spec)))
     write_table(args.out, ["k_plus", "k_minus", "l_coef", "r_c", "s_i"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -272,11 +271,10 @@ def _cmd_check(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {detail}" if detail else ""))
         failures += 0 if ok else 1
 
-    pot = DoubleWellPotential.quartic()
     z = np.linspace(-6.0, 6.0, 257)
-    phi = profile_Phi0(pot, z)
+    phi = profile_Phi0(z)
     dphi = (1.0 / math.sqrt(2.0)) / np.cosh(z / math.sqrt(2.0)) ** 2
-    eq_err = float(np.max(np.abs(0.5 * dphi**2 - pot.psi(phi))))
+    eq_err = float(np.max(np.abs(0.5 * dphi**2 - psi(phi))))
     report("equipartition along the profile", eq_err < 1e-9, f"max={eq_err:.2e}")
 
     rng = np.random.default_rng(1234)
@@ -285,13 +283,13 @@ def _cmd_check(args) -> int:
         k_plus, k_minus, l_coef = rng.uniform(-10, 10, size=3)
         spec = ReactionSpec(0.0, 0.0, k_plus, k_minus, l_coef)
         closed = (math.sqrt(2) / 2) * (k_plus - k_minus) + GAMMA_QUARTIC * l_coef
-        worst = max(worst, abs(si_quadrature(spec, pot) - closed))
+        worst = max(worst, abs(si_quadrature(spec) - closed))
     report("interfacial reaction quadrature", worst < 1e-6, f"max |diff|={worst:.2e}")
 
     spec = ReactionSpec(-2.0, 3.0, 1.3, 0.7, -0.4, r_c=0.5)
     h = 1e-7
-    jump = max(abs(source_S(spec, pot, 1.0, 0.5 - h) - source_S(spec, pot, 1.0, 0.5 + h)),
-               abs(source_S(spec, pot, 1.0, -0.5 - h) - source_S(spec, pot, 1.0, -0.5 + h)))
+    jump = max(abs(source_S(spec, 1.0, 0.5 - h) - source_S(spec, 1.0, 0.5 + h)),
+               abs(source_S(spec, 1.0, -0.5 - h) - source_S(spec, 1.0, -0.5 + h)))
     report("source continuity at +-r_c", jump < 1e-5, f"jump={jump:.2e}")
 
     worst = 0.0
@@ -299,7 +297,7 @@ def _cmd_check(args) -> int:
         beta = rng.uniform(0.01, 1.0)
         reaction = ReactionSpec(-rng.uniform(0.1, 5), rng.uniform(0.1, 5),
                                 rng.uniform(0.1, 3), rng.uniform(0.1, 3))
-        p = PhaseFieldParams(beta, 0.01, pot, reaction,
+        p = PhaseFieldParams(beta, 0.01, DoubleWellPotential.quartic(), reaction,
                              MobilitySpec(rng.uniform(0.1, 3), rng.uniform(0.1, 3)))
         sharp = derive_sharp_params(p, 1.0, 1.0)
         rep = nondimensionalize(p, sharp)
@@ -307,8 +305,8 @@ def _cmd_check(args) -> int:
     report("nondimensional identity beta* = c_l/x~", worst < 1e-14, f"max={worst:.2e}")
 
     sharp = derive_sharp_params(
-        PhaseFieldParams(0.1, 0.01, pot, ReactionSpec(-1.0, 1.0, 0.2, 0.2),
-                         MobilitySpec(1.0, 1.0)), 1.0, 1.0)
+        PhaseFieldParams(0.1, 0.01, DoubleWellPotential.quartic(),
+                         ReactionSpec(-1.0, 1.0, 0.2, 0.2), MobilitySpec(1.0, 1.0)), 1.0, 1.0)
     row = amplification(sharp, 0.1, 0.5, ModeIndex.of(0))
     expected = -2.0 / math.cosh(0.5) ** 2
     report("translational amplification", abs(row.factor - expected) < 1e-12,

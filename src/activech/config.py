@@ -2,8 +2,8 @@
 
 Sections: [domain], [discretization], [physics], [initial], [output],
 plus [converge] for ladder studies.  Exactly one of the rho pair or the
-K pair may be given; the other is derived through rho = K / (beta psi''),
-with defaults m = rho = r_c = 1 and L = 0.
+K pair may be given; the other is derived through rho = K / (beta psi''(+-1))
+= K / (2 beta), with defaults m = rho = r_c = 1 and L = 0.
 
 [initial] holds a ``kind`` and fields of that kind, each with the type and
 default that :data:`activech.initial.KINDS` gives it: a number (a float or
@@ -192,7 +192,6 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     beta = _get(sections, "physics", "beta", _NUMBER, required=True)
     s_plus = _get(sections, "physics", "s_plus", _NUMBER, required=True)
     s_minus = _get(sections, "physics", "s_minus", _NUMBER, required=True)
-    pot = DoubleWellPotential.quartic()
 
     has_rho = "rho_plus" in phys or "rho_minus" in phys
     has_k = "k_plus" in phys or "k_minus" in phys
@@ -202,11 +201,11 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     if has_k:
         k_plus = _get(sections, "physics", "k_plus", _NUMBER, 0.0)
         k_minus = _get(sections, "physics", "k_minus", _NUMBER, 0.0)
-        rho_plus, rho_minus = rho_from_rates(beta, pot, k_plus, k_minus)
+        rho_plus, rho_minus = rho_from_rates(beta, k_plus, k_minus)
     else:
         rho_plus = _get(sections, "physics", "rho_plus", _NUMBER, 1.0)
         rho_minus = _get(sections, "physics", "rho_minus", _NUMBER, 1.0)
-        k_plus, k_minus = relaxation_rates(beta, pot, rho_plus, rho_minus)
+        k_plus, k_minus = relaxation_rates(beta, rho_plus, rho_minus)
     l_coef = _get(sections, "physics", "l_coef", _NUMBER, 0.0)
     r_c = _get(sections, "physics", "r_c", _NUMBER, 1.0)
     m_plus = _get(sections, "physics", "m_plus", _NUMBER, 1.0)
@@ -228,6 +227,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     modes_lmax = _get(sections, "output", "modes_lmax", _INTEGER)
 
     converge_epsilons = list(_get(sections, "converge", "epsilons", _NUMBERS, ()))
+    if not all(0.0 < eps < math.inf for eps in converge_epsilons):
+        raise ConfigurationError(
+            f"[converge] epsilons: must be positive and finite, got {converge_epsilons}")
     converge_dim = _get(sections, "converge", "dim", _INTEGER, 1)
     if converge_dim not in (1, 2):
         raise ConfigurationError(f"[converge] dim: must be 1 or 2, got {converge_dim}")

@@ -74,9 +74,6 @@ class NodalField:
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("field contains non-finite values")
 
-    def copy(self) -> "NodalField":
-        return NodalField(self.values.copy(), self.mesh)
-
 
 def _cells_for(length: float, h: float) -> int:
     n = int(round(length / h))

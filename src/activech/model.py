@@ -1,9 +1,10 @@
 """Continuous model layer.
 
-The quartic double well, the interpolated reaction source, mobility,
-derived sharp-interface constants and the leading-order interface
-profile.  Everything here is a pure function over immutable parameter
-objects; all evaluators accept scalars or numpy arrays.
+The quartic double well psi and its derivatives (the model's only potential,
+so no function takes one), the interpolated reaction source, mobility, derived
+sharp-interface constants and the leading-order interface profile.  Everything
+here is a pure function over immutable parameter objects; all evaluators accept
+scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -39,27 +40,14 @@ def _require_finite(spec, names, positive: bool = False):
 
 @dataclass(frozen=True)
 class DoubleWellPotential:
-    """The quartic double well psi(r) = (1 - r^2)^2 / 4, with minima at +-1.
+    """Field-less marker of the quartic double well (``psi``, ``dpsi``, ``ddpsi``).
 
-    ``psi``, ``dpsi`` and ``ddpsi`` accept scalars or numpy arrays.
+    It stays only because ``perfbench/`` passes it as ``PhaseFieldParams``'s
+    third field and calls ``quartic()`` and the two-argument ``si_closed_form``.
     """
-
-    @staticmethod
-    def psi(r):
-        return 0.25 * (1.0 - np.asarray(r) ** 2) ** 2
-
-    @staticmethod
-    def dpsi(r):
-        r = np.asarray(r)
-        return r * r * r - r   # ``r ** 3`` goes through libm pow, ~40x slower
-
-    @staticmethod
-    def ddpsi(r):
-        return 3.0 * np.asarray(r) ** 2 - 1.0
 
     @classmethod
     def quartic(cls) -> "DoubleWellPotential":
-        """The quartic double well, equal to ``DoubleWellPotential()``."""
         return cls()
 
 
@@ -170,6 +158,22 @@ class NondimReport:
 # potential and interpolation functions
 # ---------------------------------------------------------------------------
 
+def psi(r):
+    """The quartic double well psi(r) = (1 - r^2)^2 / 4, with minima at +-1."""
+    return 0.25 * (1.0 - np.asarray(r) ** 2) ** 2
+
+
+def dpsi(r):
+    """psi'(r) = r^3 - r."""
+    r = np.asarray(r)
+    return r * r * r - r   # ``r ** 3`` goes through libm pow, ~40x slower
+
+
+def ddpsi(r):
+    """psi''(r) = 3 r^2 - 1."""
+    return 3.0 * np.asarray(r) ** 2 - 1.0
+
+
 def _g1_hat(s):
     t = s + 1.0
     return 0.75 * t ** 2 - 0.25 * t ** 3
@@ -179,18 +183,18 @@ def _g2_hat(s, root):
     return -0.5 / SQRT2 * (s - 1.0) * root   # sqrt(psi''(-1)) = sqrt 2
 
 
-def _g4_hat(s, pot: DoubleWellPotential):
+def _g4_hat(s):
     """2 psi(s) and its root, which G_2's hat takes; psi is even, so both serve -s too."""
-    g4 = 2.0 * pot.psi(s)
+    g4 = 2.0 * psi(s)
     return g4, np.sqrt(np.maximum(g4, 0.0))
 
 
-def _g_scaled(k: int, r, r_c: float, pot: DoubleWellPotential):
+def _g_scaled(k: int, r, r_c: float):
     """G_k on [-r_c, r_c] via the rescaled hat functions (no domain check)."""
     s = np.minimum(np.maximum(np.asarray(r, dtype=float) / r_c, -1.0), 1.0)
     if k == 1:
         return _g1_hat(s)
-    g4, root = _g4_hat(s, pot)
+    g4, root = _g4_hat(s)
     if k == 2:
         return r_c * _g2_hat(s, root)
     if k == 3:
@@ -200,7 +204,7 @@ def _g_scaled(k: int, r, r_c: float, pot: DoubleWellPotential):
     raise ValueError(f"interpolation index must be 1..4, got {k}")
 
 
-def interp_G(k: int, r: float, r_c: float, pot: DoubleWellPotential) -> float:
+def interp_G(k: int, r: float, r_c: float) -> float:
     """Interpolation function G_k(r) for r in [-r_c, r_c].
 
     Raises ``ValueError`` outside the interpolation interval.
@@ -209,19 +213,19 @@ def interp_G(k: int, r: float, r_c: float, pot: DoubleWellPotential) -> float:
         raise ConfigurationError(f"r_c must lie in (0, 1], got {r_c}")
     if not abs(r) <= r_c:   # NaN fails this test too
         raise ValueError(f"G_{k} is defined on [-r_c, r_c]; got r={r}, r_c={r_c}")
-    return float(_g_scaled(k, r, r_c, pot))
+    return float(_g_scaled(k, r, r_c))
 
 
 # ---------------------------------------------------------------------------
 # reaction source
 # ---------------------------------------------------------------------------
 
-def _source_branches(spec: ReactionSpec, pot: DoubleWellPotential, r):
+def _source_branches(spec: ReactionSpec, r):
     """(S1, S2) at ``r`` from one clip of r/r_c: G_k are ``_g_scaled``'s, G_1 and psi once."""
     r = np.asarray(r, dtype=float)
     rc = spec.r_c
     s = np.minimum(np.maximum(r / rc, -1.0), 1.0)
-    g1, (g4, root) = _g1_hat(s), _g4_hat(s, pot)
+    g1, (g4, root) = _g1_hat(s), _g4_hat(s)
     s2_hat = (-spec.k_minus * (rc * _g2_hat(s, root)) - spec.k_plus * (-rc * _g2_hat(-s, root))
               + spec.l_coef * g4 - spec.k_plus * (rc - 1.0) * g1
               - spec.k_minus * (1.0 - rc) * (1.0 - g1))
@@ -233,19 +237,19 @@ def _source_branches(spec: ReactionSpec, pot: DoubleWellPotential, r):
     return tuple(out if out.ndim else float(out) for out in (s1, s2))
 
 
-def source_S1(spec: ReactionSpec, pot: DoubleWellPotential, r):
+def source_S1(spec: ReactionSpec, r):
     """Slow source term: interpolates S- to S+ across the interface."""
-    return _source_branches(spec, pot, r)[0]
+    return _source_branches(spec, r)[0]
 
 
-def source_S2(spec: ReactionSpec, pot: DoubleWellPotential, r):
+def source_S2(spec: ReactionSpec, r):
     """Fast source term: affine relaxation outside, C^1 interpolation inside."""
-    return _source_branches(spec, pot, r)[1]
+    return _source_branches(spec, r)[1]
 
 
-def source_S(spec: ReactionSpec, pot: DoubleWellPotential, epsilon: float, r):
+def source_S(spec: ReactionSpec, epsilon: float, r):
     """Composed source S_eps(r) = S1(r) + S2(r)/eps."""
-    s1, s2 = _source_branches(spec, pot, r)
+    s1, s2 = _source_branches(spec, r)
     return s1 + s2 / epsilon
 
 
@@ -264,7 +268,7 @@ def mobility_m(spec: MobilitySpec, r):
 # interface profile and quadratures
 # ---------------------------------------------------------------------------
 
-def profile_Phi0(pot: DoubleWellPotential, z):
+def profile_Phi0(z):
     """Leading-order interface profile Phi0(z) = tanh(z / sqrt 2).
 
     It solves Phi0'' = psi'(Phi0), Phi0(0) = 0, Phi0(+-inf) = +-1.
@@ -313,7 +317,7 @@ def _profile_rule(r_c: float) -> tuple[np.ndarray, np.ndarray]:
     return phi, w
 
 
-def si_quadrature(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
+def si_quadrature(spec: ReactionSpec) -> float:
     """Net interfacial reaction constant: integral of S2 along the profile.
 
     Integrates ``source_S2(profile_Phi0(z))`` over [-40 sqrt 2, 40 sqrt 2]
@@ -330,7 +334,7 @@ def si_quadrature(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
     points) at r_c in {0.5, 0.75, 0.9}.
     """
     phi, w = _profile_rule(spec.r_c)
-    return float(source_S2(spec, pot, phi) @ w)
+    return float(source_S2(spec, phi) @ w)
 
 
 def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
@@ -344,14 +348,12 @@ def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
 # derived sharp-interface constants
 # ---------------------------------------------------------------------------
 
-def relaxation_rates(beta: float, pot: DoubleWellPotential,
-                     rho_plus: float, rho_minus: float) -> tuple[float, float]:
+def relaxation_rates(beta: float, rho_plus: float, rho_minus: float) -> tuple[float, float]:
     """Relaxation coefficients K+- = beta psi''(+-1) rho+- of the fast source."""
     return beta * _DDPSI_WELL * rho_plus, beta * _DDPSI_WELL * rho_minus
 
 
-def rho_from_rates(beta: float, pot: DoubleWellPotential,
-                   k_plus: float, k_minus: float) -> tuple[float, float]:
+def rho_from_rates(beta: float, k_plus: float, k_minus: float) -> tuple[float, float]:
     """Inverse of ``relaxation_rates``: rho+- = K+- / (beta psi''(+-1))."""
     return k_plus / (beta * _DDPSI_WELL), k_minus / (beta * _DDPSI_WELL)
 
@@ -362,17 +364,14 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
     Raises ``ConfigurationError`` unless rho+- > 0: every planar formula
     divides by rho.
     """
-    pot = p.potential
-    rho_plus, rho_minus = rho_from_rates(p.beta, pot, p.reaction.k_plus, p.reaction.k_minus)
+    rho_plus, rho_minus = rho_from_rates(p.beta, p.reaction.k_plus, p.reaction.k_minus)
     if not (rho_plus > 0.0 and rho_minus > 0.0):
         raise ConfigurationError(
             "planar sharp-interface formulas require rho_plus > 0 and rho_minus > 0; "
             f"got rho_plus={rho_plus}, rho_minus={rho_minus}"
         )
-    if p.reaction.r_c == 1.0:
-        s_interface = si_closed_form(p.reaction, pot)
-    else:
-        s_interface = si_quadrature(p.reaction, pot)
+    s_interface = (si_closed_form(p.reaction, p.potential) if p.reaction.r_c == 1.0
+                   else si_quadrature(p.reaction))
     return SharpParams(
         rho_plus=rho_plus,
         rho_minus=rho_minus,

@@ -71,7 +71,7 @@ from scipy.sparse.linalg import splu
 from .errors import ConfigurationError, NumericalError, ResolutionWarning, StepFailureError
 from .mesh import (NodalField, StructuredMesh, band_pattern, build_mesh, element_means,
                    stencil_bands, stiffness_matrix)
-from .model import PhaseFieldParams, _require_finite, mobility_m, source_S
+from .model import PhaseFieldParams, _require_finite, ddpsi, dpsi, mobility_m, psi, source_S
 from .initial import init_field
 
 PHI_BOUND_WARN = 1.1
@@ -316,12 +316,12 @@ class Stepper:
     # -- pieces -----------------------------------------------------------
 
     def source_nodal(self, phi: np.ndarray) -> np.ndarray:
-        return source_S(self.p.reaction, self.p.potential, self.p.epsilon, phi)
+        return source_S(self.p.reaction, self.p.epsilon, phi)
 
     def initial_mu(self, phi: np.ndarray) -> np.ndarray:
         """mu solving the chemical-potential equation for a given phi."""
         beta, eps = self.p.beta, self.p.epsilon
-        return beta * eps * (self.K @ phi) / self.w + (beta / eps) * self.p.potential.dpsi(phi)
+        return beta * eps * (self.K @ phi) / self.w + (beta / eps) * dpsi(phi)
 
     # -- Newton step ------------------------------------------------------
 
@@ -346,7 +346,7 @@ class Stepper:
         converged = False
         for _ in range(NEWTON_MAX + 1):
             r1 = w_tau * phi + Km @ mu - rhs_mass
-            r2 = c_grad * (K @ phi) + c_well * p.potential.dpsi(phi) - w * mu
+            r2 = c_grad * (K @ phi) + c_well * dpsi(phi) - w * mu
             res = math.hypot(math.sqrt(r1 @ r1), math.sqrt(r2 @ r2))
             residuals.append(res)
             if res < NEWTON_TOL:
@@ -354,13 +354,13 @@ class Stepper:
                 break
             if len(residuals) > NEWTON_MAX:
                 break
-            ddpsi = np.asarray(p.potential.ddpsi(phi))
-            schur.assemble(ddpsi, w_tau)
+            ddpsi_phi = ddpsi(phi)
+            schur.assemble(ddpsi_phi, w_tau)
             try:
                 dphi = schur.solve(-(r1 + Km @ (r2 / w)))
             except NumericalError as exc:
                 raise StepFailureError(str(exc), step=step_index, residuals=residuals) from exc
-            dmu = (c_grad * (K @ dphi) + c_well * ddpsi * dphi + r2) / w
+            dmu = (c_grad * (K @ dphi) + c_well * ddpsi_phi * dphi + r2) / w
             phi = phi + dphi
             mu = mu + dmu
         if not converged:
@@ -371,17 +371,15 @@ class Stepper:
         return phi, mu, StepReport(iterations=len(residuals) - 1, residuals=residuals)
 
 
-def free_energy(field: NodalField, mesh: StructuredMesh, p: PhaseFieldParams) -> float:
+def free_energy(field: NodalField, p: PhaseFieldParams) -> float:
     """Ginzburg-Landau energy: beta (eps/2 |grad phi|^2 + psi(phi)/eps).
 
     The gradient term is exact for P1; the potential term uses the lumped
     quadrature, consistent with the scheme.
     """
-    if field.values.shape != (mesh.n_nodes,):
-        raise ConfigurationError("field does not match the mesh")
-    K = stiffness_matrix(mesh)
+    K = stiffness_matrix(field.mesh)
     grad_term = 0.5 * p.epsilon * float(field.values @ (K @ field.values))
-    pot_term = float(np.dot(mesh.lumped, p.potential.psi(field.values))) / p.epsilon
+    pot_term = float(np.dot(field.mesh.lumped, psi(field.values))) / p.epsilon
     return p.beta * (grad_term + pot_term)
 
 
@@ -457,18 +455,18 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
         fld = NodalField(phi_vec, mesh)
         times.append(t)
         mass.append(float(np.dot(mesh.lumped, phi_vec)))
-        energy.append(free_energy(fld, mesh, p))
+        energy.append(free_energy(fld, p))
         q_now = math.nan
         if opts.track_interface:
             try:
-                q_now = track_interface(fld, mesh, line_x2=opts.track_line, prev=prev_q)
+                q_now = track_interface(fld, line_x2=opts.track_line, prev=prev_q)
                 prev_q = q_now
             except TrackingError as exc:
                 _warn_once(run_warnings, f"interface tracking: {exc}")
         q_trace.append(q_now)
         if opts.modes_lmax is not None:
             try:
-                spectrum = mode_amplitudes(fld, mesh, opts.modes_lmax)
+                spectrum = mode_amplitudes(fld, opts.modes_lmax)
                 mode_rows.append(spectrum.amplitudes)
             except Exception as exc:  # measurement errors must not kill the run
                 mode_rows.append(np.full(opts.modes_lmax + 1, np.nan))

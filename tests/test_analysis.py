@@ -42,7 +42,7 @@ def test_track_interface_on_tanh(quartic):
     for _ in range(10):
         q0 = rng.uniform(0.2, 0.8)
         fld = ac.init_field(mesh, "flat_front", {"q0": q0}, eps)
-        q_h = ac.track_interface(fld, mesh)
+        q_h = ac.track_interface(fld)
         assert abs(q_h - q0) <= 2.0 * mesh.h**2 / eps
 
 
@@ -50,18 +50,18 @@ def test_track_interface_constant_errors():
     mesh = ac.build_mesh(1, (1.0,), 0.125)
     fld = ac.init_field(mesh, "constant", {"value": 0.5}, 0.1)
     with pytest.raises(ac.TrackingError):
-        ac.track_interface(fld, mesh)
+        ac.track_interface(fld)
 
 
 def test_track_interface_multiple_crossings():
     mesh = ac.build_mesh(1, (1.0,), 1 / 16)
     values = np.cos(3 * math.pi * mesh.coords[:, 0])  # three crossings
     fld = ac.NodalField(values, mesh)
-    crossings = ac.interface_crossings(fld, mesh)
+    crossings = ac.interface_crossings(fld)
     assert len(crossings) == 3
     with pytest.raises(ac.TrackingError):
-        ac.track_interface(fld, mesh)
-    near = ac.track_interface(fld, mesh, prev=0.2)
+        ac.track_interface(fld)
+    near = ac.track_interface(fld, prev=0.2)
     assert near == pytest.approx(crossings[0], abs=1e-12)
 
 
@@ -70,8 +70,8 @@ def test_track_interface_2d_line_selection(quartic):
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
     fld = ac.init_field(mesh, "flat_front",
                         {"q0": 0.5, "modes": [1], "amplitudes": [0.1]}, eps)
-    q_bottom = ac.track_interface(fld, mesh, line_x2=0.0)
-    q_top = ac.track_interface(fld, mesh, line_x2=1.0)
+    q_bottom = ac.track_interface(fld, line_x2=0.0)
+    q_top = ac.track_interface(fld, line_x2=1.0)
     assert q_bottom == pytest.approx(0.6, abs=0.01)
     assert q_top == pytest.approx(0.4, abs=0.01)
 
@@ -94,7 +94,7 @@ def test_mode_amplitudes_flat(quartic):
     eps = 1 / (16 * math.pi)
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 64)
     fld = _synthetic_front(mesh, eps, 0.5, [])
-    spec = ac.mode_amplitudes(fld, mesh, 6)
+    spec = ac.mode_amplitudes(fld, 6)
     assert spec.amplitudes[0] == pytest.approx(0.5, abs=1e-6)
     assert np.max(np.abs(spec.amplitudes[1:])) < 1e-10
 
@@ -103,7 +103,7 @@ def test_mode_amplitudes_single_mode(quartic):
     eps = 1 / (16 * math.pi)
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 128)
     fld = _synthetic_front(mesh, eps, 0.5, [(2, 0.01)])
-    spec = ac.mode_amplitudes(fld, mesh, 8)
+    spec = ac.mode_amplitudes(fld, 8)
     assert spec.amplitudes[2] == pytest.approx(0.01, rel=0.02)
     others = np.delete(spec.amplitudes, [0, 2])
     assert np.max(np.abs(others)) < 1e-4
@@ -115,7 +115,7 @@ def test_mode_amplitudes_three_modes(quartic):
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 128)
     injected = [(1, 0.012), (3, -0.008), (5, 0.005)]
     fld = _synthetic_front(mesh, eps, 0.5, injected)
-    spec = ac.mode_amplitudes(fld, mesh, 8)
+    spec = ac.mode_amplitudes(fld, 8)
     for l, amp in injected:
         assert spec.amplitudes[l] == pytest.approx(amp, rel=0.02)
 
@@ -124,7 +124,7 @@ def test_mode_amplitudes_requires_crossings(quartic):
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 16)
     fld = ac.init_field(mesh, "constant", {"value": 1.0}, 0.1)
     with pytest.raises(ac.MeasurementError):
-        ac.mode_amplitudes(fld, mesh, 4)
+        ac.mode_amplitudes(fld, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,16 @@ def test_fit_growth_rate_rejects_nonpositive():
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ac.MeasurementError):
         ac.fit_growth_rate(t, np.array([0.1, 0.2, 0.0, 0.4, 0.5]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["times", "amplitudes"])
+def test_fit_growth_rate_rejects_nonfinite(where, bad):
+    # a failed mode extraction leaves NaN rows, which must not become a NaN rate
+    samples = {"times": [0.0, 1.0, 2.0], "amplitudes": [1.0, 1.5, 2.0]}
+    samples[where][1] = bad
+    with pytest.raises(ac.MeasurementError, match="finite"):
+        ac.fit_growth_rate(samples["times"], samples["amplitudes"])
 
 
 def test_growth_window():
@@ -191,6 +201,22 @@ def test_auto_mesh_size():
     assert ac.auto_mesh_size(1 / (16 * math.pi)) == pytest.approx(1 / 128)
     with pytest.raises(ac.ConfigurationError):
         ac.auto_mesh_size(0.02)
+    for eps in (0.0, -1 / (4 * math.pi), math.nan, math.inf):
+        with pytest.raises(ac.ConfigurationError, match="positive and finite"):
+            ac.auto_mesh_size(eps)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.01, math.nan])
+def test_convergence_study_rejects_bad_epsilon_before_any_rung(quartic, monkeypatch, bad):
+    def no_rung(*args, **kwargs):
+        raise AssertionError("a rung ran")
+
+    monkeypatch.setattr("activech.analysis.run_simulation", no_rung)
+    reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
+    p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
+                            ac.MobilitySpec(1.0, 1.0))
+    with pytest.raises(ac.ConfigurationError, match="positive, finite"):
+        ac.convergence_study(p, [1 / (4 * math.pi), bad], 0.01, q0=0.3, dim=1)
 
 
 def test_convergence_study_micro(quartic):

@@ -285,6 +285,20 @@ dim = 3
     assert not (tmp_path / "conv" / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["0", "nan", "-0.01"])
+def test_converge_rejects_bad_epsilons_without_traceback(tmp_path, capsys, bad):
+    body = SIM_CFG + f"""
+[converge]
+epsilons = 1/(4*pi), {bad}
+"""
+    cfg = write_cfg(tmp_path, body)
+    code = main(["converge", "--config", cfg, "--out", str(tmp_path / "conv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "configuration error: [converge] epsilons" in err and "Traceback" not in err
+    assert not (tmp_path / "conv").exists()
+
+
 def test_si_table(tmp_path):
     out = tmp_path / "si.csv"
     code = main(["si-table", "--kplus", "1,2", "--kminus", "0",

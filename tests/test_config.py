@@ -188,6 +188,16 @@ dim = 1
     assert cfg.converge_dim == 1
 
 
+@pytest.mark.parametrize("bad", ["0", "-0.01", "nan", "inf"])
+def test_converge_epsilons_must_be_positive_and_finite(bad):
+    doc = MINIMAL + f"""
+[converge]
+epsilons = 1/(4*pi), {bad}
+"""
+    with pytest.raises(ac.ConfigurationError, match=r"\[converge\] epsilons: must be positive"):
+        ac.parse_config(doc)
+
+
 @pytest.mark.parametrize("dim", ["0", "3"])
 def test_converge_dim_must_be_1_or_2(dim):
     doc = MINIMAL + f"""
