@@ -93,7 +93,6 @@ class ModeSpectrum:
     """Cosine-mode amplitudes of the interface height at one instant."""
 
     amplitudes: np.ndarray
-    l_max: int
 
     def dominant(self) -> int:
         """Index of the largest-magnitude mode with l >= 1."""
@@ -133,7 +132,7 @@ def mode_amplitudes(field: NodalField, l_max: int) -> ModeSpectrum:
     for l in range(l_max + 1):
         basis = np.cos(math.pi * l * x2 / width)
         amps[l] = (2.0 - (l == 0)) / width * float(np.sum(trap * heights * basis))
-    return ModeSpectrum(amplitudes=amps, l_max=l_max)
+    return ModeSpectrum(amplitudes=amps)
 
 
 # ---------------------------------------------------------------------------

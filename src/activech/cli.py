@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: simulate, sharp-ode, stability, converge, modes, si-table,
-check.  Exit codes: 0 success, 1 configuration error, 2 numerical failure.
+check.  Exit codes: 0 success, 1 configuration error or an unusable input
+or output path, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def _run_configured(cfg, modes_lmax: int | None):
         manifest_extra=cfg.as_manifest_dict(),
     )
     return run_simulation(
-        cfg.phase_field_params(), (cfg.dim, cfg.lengths, cfg.mesh_size()),
+        cfg.params, (cfg.dim, cfg.lengths, cfg.mesh_size()),
         (cfg.init_kind, cfg.init_params),
         SolverConfig(tau=cfg.tau), cfg.t_end, outputs=opts,
     )
@@ -188,9 +189,8 @@ def _cmd_converge(args) -> int:
         raise ConfigurationError("[converge] epsilons: required for the converge command")
     if cfg.init_kind != "flat_front":
         raise ConfigurationError("[initial] kind: converge needs a flat_front initial front")
-    p = cfg.phase_field_params()
     table = convergence_study(
-        p, cfg.converge_epsilons, cfg.t_end, lengths=cfg.lengths if cfg.dim == 2
+        cfg.params, cfg.converge_epsilons, cfg.t_end, lengths=cfg.lengths if cfg.dim == 2
         else (cfg.lengths[0], cfg.lengths[0]),
         q0=cfg.init_params["q0"], dim=cfg.converge_dim,
         cfg=SolverConfig(tau=cfg.tau), h=cfg.h,
@@ -217,7 +217,7 @@ def _cmd_modes(args) -> int:
     modes_lmax = cfg.modes_lmax if cfg.modes_lmax is not None else 10
     if modes_lmax < 1:
         raise ConfigurationError(f"[output] modes_lmax: modes needs at least 1, got {modes_lmax}")
-    sharp = derive_sharp_params(cfg.phase_field_params(), cfg.lengths[0], cfg.lengths[1])
+    sharp = derive_sharp_params(cfg.params, cfg.lengths[0], cfg.lengths[1])
     record = _run_configured(cfg, modes_lmax)
     if record.mode_amps is None:
         raise NumericalError("mode extraction produced no data")
@@ -226,9 +226,10 @@ def _cmd_modes(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table(out_dir / "modes.csv", ["t"] + [f"A{l}" for l in range(l_max + 1)],
                 np.column_stack([record.times, record.mode_amps]))
-    dominant = ModeSpectrum(record.mode_amps[-1], l_max).dominant()
+    dominant = ModeSpectrum(record.mode_amps[-1]).dominant()
     q_for_rate = record.q_h[0] if math.isfinite(record.q_h[0]) else cfg.lengths[0] / 2
-    predicted = amplification(sharp, cfg.beta, q_for_rate, ModeIndex.of(dominant)).growth_rate
+    predicted = amplification(sharp, cfg.params.beta, q_for_rate,
+                              ModeIndex.of(dominant)).growth_rate
     amps = np.abs(record.mode_amps[:, dominant])
     start, stop = growth_window(record.times, amps, cfg.lengths[1])
     if start == 0:
@@ -312,7 +313,7 @@ def _cmd_check(args) -> int:
     report("translational amplification", abs(row.factor - expected) < 1e-12,
            f"|diff|={abs(row.factor - expected):.2e}")
 
-    crit = beta_crit(1.0, 1.0, sharp.gamma, ModeIndex.of(2))
+    crit = beta_crit(1.0, 1.0, ModeIndex.of(2))
     res = amplification(sharp, crit, 0.5, ModeIndex.of(2)).factor
     report("critical beta is an amplification root", abs(res) < 1e-10, f"|factor|={res:.2e}")
 
@@ -391,6 +392,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

@@ -1,9 +1,11 @@
 """Run configuration: a flat INI-style document with typed sections.
 
 Sections: [domain], [discretization], [physics], [initial], [output],
-plus [converge] for ladder studies.  Exactly one of the rho pair or the
-K pair may be given; the other is derived through rho = K / (beta psi''(+-1))
-= K / (2 beta), with defaults m = rho = r_c = 1 and L = 0.
+plus [converge] for ladder studies.  [physics] may give the rho pair or
+the K pair, not both, with defaults m = rho = r_c = 1 and L = 0.  The
+physics is stored once, as a :class:`activech.model.PhaseFieldParams` that
+holds K+-: a rho pair becomes K+- = beta psi''(+-1) rho+- = 2 beta rho+-, and
+only :func:`activech.model.derive_sharp_params` derives rho+- from K+-.
 
 [initial] holds a ``kind`` and fields of that kind, each with the type and
 default that :data:`activech.initial.KINDS` gives it: a number (a float or
@@ -18,7 +20,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigurationError
 from .initial import KINDS, resolve_initial
@@ -28,7 +30,6 @@ from .model import (
     PhaseFieldParams,
     ReactionSpec,
     relaxation_rates,
-    rho_from_rates,
 )
 
 _EPS_SYMBOLIC = re.compile(r"^\s*1\s*/\s*\(\s*([0-9]*\.?[0-9]+)\s*\*\s*pi\s*\)\s*$")
@@ -50,21 +51,10 @@ class RunConfig:
 
     dim: int
     lengths: tuple[float, ...]
-    epsilon: float
     h: float | None
     tau: float
     t_end: float
-    beta: float
-    s_plus: float
-    s_minus: float
-    rho_plus: float
-    rho_minus: float
-    k_plus: float
-    k_minus: float
-    l_coef: float
-    r_c: float
-    m_plus: float
-    m_minus: float
+    params: PhaseFieldParams
     init_kind: str
     init_params: dict
     directory: str | None
@@ -77,23 +67,16 @@ class RunConfig:
     converge_dim: int = 1
 
     def phase_field_params(self) -> PhaseFieldParams:
-        return PhaseFieldParams(
-            beta=self.beta,
-            epsilon=self.epsilon,
-            potential=DoubleWellPotential.quartic(),
-            reaction=ReactionSpec(self.s_plus, self.s_minus, self.k_plus,
-                                  self.k_minus, self.l_coef, self.r_c),
-            mobility=MobilitySpec(self.m_plus, self.m_minus),
-        )
+        """``params``; kept as a method because the benchmark workloads call it."""
+        return self.params
 
     def mesh_size(self) -> float:
         from .analysis import auto_mesh_size
 
-        return self.h if self.h is not None else auto_mesh_size(self.epsilon)
+        return self.h if self.h is not None else auto_mesh_size(self.params.epsilon)
 
     def as_manifest_dict(self) -> dict:
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in self.__dict__.items()}
+        return asdict(self)
 
 
 _KNOWN = {
@@ -201,15 +184,16 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     if has_k:
         k_plus = _get(sections, "physics", "k_plus", _NUMBER, 0.0)
         k_minus = _get(sections, "physics", "k_minus", _NUMBER, 0.0)
-        rho_plus, rho_minus = rho_from_rates(beta, k_plus, k_minus)
     else:
-        rho_plus = _get(sections, "physics", "rho_plus", _NUMBER, 1.0)
-        rho_minus = _get(sections, "physics", "rho_minus", _NUMBER, 1.0)
-        k_plus, k_minus = relaxation_rates(beta, rho_plus, rho_minus)
-    l_coef = _get(sections, "physics", "l_coef", _NUMBER, 0.0)
-    r_c = _get(sections, "physics", "r_c", _NUMBER, 1.0)
-    m_plus = _get(sections, "physics", "m_plus", _NUMBER, 1.0)
-    m_minus = _get(sections, "physics", "m_minus", _NUMBER, 1.0)
+        k_plus, k_minus = relaxation_rates(
+            beta, _get(sections, "physics", "rho_plus", _NUMBER, 1.0),
+            _get(sections, "physics", "rho_minus", _NUMBER, 1.0))
+    reaction = ReactionSpec(s_plus, s_minus, k_plus, k_minus,
+                            l_coef=_get(sections, "physics", "l_coef", _NUMBER, 0.0),
+                            r_c=_get(sections, "physics", "r_c", _NUMBER, 1.0))
+    mobility = MobilitySpec(_get(sections, "physics", "m_plus", _NUMBER, 1.0),
+                            _get(sections, "physics", "m_minus", _NUMBER, 1.0))
+    params = PhaseFieldParams(beta, epsilon, DoubleWellPotential.quartic(), reaction, mobility)
 
     init_kind = _get(sections, "initial", "kind", required=True).strip()
     types = {name: _INITIAL_TYPES[type_]
@@ -234,14 +218,9 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
     if converge_dim not in (1, 2):
         raise ConfigurationError(f"[converge] dim: must be 1 or 2, got {converge_dim}")
 
-    cfg = RunConfig(
-        dim=dim, lengths=lengths, epsilon=epsilon, h=h, tau=tau, t_end=t_end,
-        beta=beta, s_plus=s_plus, s_minus=s_minus,
-        rho_plus=rho_plus, rho_minus=rho_minus, k_plus=k_plus, k_minus=k_minus,
-        l_coef=l_coef, r_c=r_c, m_plus=m_plus, m_minus=m_minus,
+    return RunConfig(
+        dim=dim, lengths=lengths, h=h, tau=tau, t_end=t_end, params=params,
         init_kind=init_kind, init_params=init_params, directory=directory, stride=stride,
         vtk=vtk, checkpoint=checkpoint, track_line=track_line, modes_lmax=modes_lmax,
         converge_epsilons=converge_epsilons, converge_dim=converge_dim,
     )
-    cfg.phase_field_params()  # validate physics eagerly
-    return cfg

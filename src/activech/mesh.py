@@ -29,7 +29,6 @@ class StructuredMesh:
     coords: np.ndarray          # (n_nodes, dim)
     elements: np.ndarray        # (n_elements, dim + 1), int32
     lumped: np.ndarray          # (n_nodes,) diagonal mass weights
-    element_volume: float
 
     @property
     def n_nodes(self) -> int:
@@ -38,18 +37,6 @@ class StructuredMesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    @property
-    def node_shape(self) -> tuple[int, ...]:
-        """Lattice shape (n1+1,) or (n1+1, n2+1)."""
-        return tuple(n + 1 for n in self.cells)
-
-    @property
-    def volume(self) -> float:
-        out = 1.0
-        for length in self.lengths:
-            out *= length
-        return out
 
     def grid_view(self, values: np.ndarray) -> np.ndarray:
         """Reshape flat nodal values to the lattice, indexed [j, i] in 2D."""
@@ -124,7 +111,6 @@ def build_mesh(dim: int, lengths, h: float) -> StructuredMesh:
     return StructuredMesh(
         dim=dim, lengths=lengths, cells=(n1,) if dim == 1 else (n1, n2),
         h=float(h), coords=coords, elements=elements, lumped=lumped,
-        element_volume=volume,
     )
 
 

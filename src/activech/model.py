@@ -102,8 +102,9 @@ class SharpParams:
     """Constants of the sharp-interface limit on a planar box.
 
     Valid by construction: rho+-, lambda+-, L and Lt are positive and
-    finite, and d+-, gamma and S_I are finite, so every planar formula
-    accepts any instance.
+    finite, and d+- and S_I are finite, so every planar formula accepts any
+    instance.  The surface tension is the quartic's ``GAMMA_QUARTIC``, a
+    constant of the model, so it is not a field.
     """
 
     rho_plus: float
@@ -112,7 +113,6 @@ class SharpParams:
     d_minus: float
     lambda_plus: float
     lambda_minus: float
-    gamma: float
     s_interface: float
     length_L: float
     width_Lt: float
@@ -120,7 +120,7 @@ class SharpParams:
     def __post_init__(self):
         _require_finite(self, ("rho_plus", "rho_minus", "lambda_plus", "lambda_minus",
                                "length_L", "width_Lt"), positive=True)
-        _require_finite(self, ("d_plus", "d_minus", "gamma", "s_interface"))
+        _require_finite(self, ("d_plus", "d_minus", "s_interface"))
 
     @property
     def m_plus(self) -> float:
@@ -379,7 +379,6 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
         d_minus=p.reaction.s_minus / rho_minus,
         lambda_plus=math.sqrt(rho_plus / p.mobility.m_plus),
         lambda_minus=math.sqrt(rho_minus / p.mobility.m_minus),
-        gamma=GAMMA_QUARTIC,
         s_interface=s_interface,
         length_L=length_L,
         width_Lt=width_Lt,

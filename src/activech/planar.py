@@ -8,12 +8,12 @@ stability (transverse-mode amplification) analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import SharpParams
+from .model import GAMMA_QUARTIC, SharpParams
 
 _NORMALIZED_TOL = 1e-12
 #: Bisection for the stationary front stops once |H| falls below STATIONARY_TOL.
@@ -22,21 +22,19 @@ STATIONARY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModeIndex:
-    """Transverse mode multi-index l_hat in N_0^(d-1)."""
+    """Transverse mode multi-index l_hat in N_0^(d-1), with l_sq = |l_hat|^2."""
 
     l_vec: tuple[int, ...]
-    l_sq: int
+    l_sq: int = field(init=False)
 
     def __post_init__(self):
         if any(l < 0 for l in self.l_vec):
             raise ConfigurationError(f"mode entries must be nonnegative, got {self.l_vec}")
-        if self.l_sq != sum(l * l for l in self.l_vec):
-            raise ConfigurationError(
-                f"l_sq={self.l_sq} does not match |{self.l_vec}|^2={sum(l*l for l in self.l_vec)}")
+        object.__setattr__(self, "l_sq", sum(l * l for l in self.l_vec))
 
     @classmethod
     def of(cls, *l_vec: int) -> "ModeIndex":
-        return cls(tuple(int(l) for l in l_vec), sum(int(l) ** 2 for l in l_vec))
+        return cls(tuple(int(l) for l in l_vec))
 
 
 @dataclass(frozen=True)
@@ -232,7 +230,7 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
     k_transverse = math.pi**2 * mode.l_sq / Lt**2  # equals -zeta/Lt^2 >= 0
     gamma_plus = math.sqrt(sharp.lambda_plus**2 + k_transverse)
     gamma_minus = math.sqrt(sharp.lambda_minus**2 + k_transverse)
-    surf = 0.5 * sharp.gamma * beta * k_transverse
+    surf = 0.5 * GAMMA_QUARTIC * beta * k_transverse
     num_plus = (sharp.d_plus * sharp.lambda_plus * math.tanh(sharp.lambda_plus * q) + surf)
     num_minus = (sharp.d_minus * sharp.lambda_minus
                  * math.tanh(sharp.lambda_minus * (L - q)) - surf)
@@ -246,7 +244,7 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
     )
     crit = None
     if mode.l_sq > 0 and _is_normalized_setting(sharp, q):
-        crit = beta_crit(L, Lt, sharp.gamma, mode)
+        crit = beta_crit(L, Lt, mode)
     return StabilityRow(
         mode=mode,
         gamma_plus=gamma_plus,
@@ -258,16 +256,15 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
     )
 
 
-def amplification_normalized(beta: float, Lbig: float, Lt: float, gamma: float,
-                             mode: ModeIndex) -> float:
+def amplification_normalized(beta: float, Lbig: float, Lt: float, mode: ModeIndex) -> float:
     """Specialized amplification factor for S+ = -1, S- = m+- = rho+- = 1, q = L/2."""
     k_transverse = math.pi**2 * mode.l_sq / Lt**2
     root = math.sqrt(1.0 + k_transverse)
     return -2.0 + root * math.tanh(0.5 * Lbig * root) * (
-        2.0 * math.tanh(0.5 * Lbig) - gamma * beta * k_transverse)
+        2.0 * math.tanh(0.5 * Lbig) - GAMMA_QUARTIC * beta * k_transverse)
 
 
-def beta_crit(Lbig: float, Lt: float, gamma: float, mode: ModeIndex) -> float:
+def beta_crit(Lbig: float, Lt: float, mode: ModeIndex) -> float:
     """Critical surface-energy coefficient below which the mode grows.
 
     Only meaningful in the normalized setting; undefined for the
@@ -277,7 +274,7 @@ def beta_crit(Lbig: float, Lt: float, gamma: float, mode: ModeIndex) -> float:
         raise ValueError("beta_crit is undefined for the translational mode l=0")
     k_transverse = math.pi**2 * mode.l_sq / Lt**2
     root = math.sqrt(1.0 + k_transverse)
-    return (2.0 / gamma) / k_transverse * (
+    return (2.0 / GAMMA_QUARTIC) / k_transverse * (
         math.tanh(0.5 * Lbig) - 1.0 / (root * math.tanh(0.5 * Lbig * root)))
 
 

@@ -141,6 +141,41 @@ def test_simulate_nonfinite_parameter_exit_code(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def _k_pair_cfg(tmp_path):
+    return write_cfg(tmp_path, SIM_CFG.replace("rho_plus = 1", "k_plus = 0.2")
+                     .replace("rho_minus = 0.1", "k_minus = 0.02"), name="k.cfg")
+
+
+def test_simulate_zero_beta_with_k_pair_exit_code(tmp_path, capsys):
+    # beta = 0 with a K pair is a configuration error, never a ZeroDivisionError
+    assert main(["simulate", "--config", _k_pair_cfg(tmp_path), "--set", "physics.beta=0",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: beta must be positive and finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_manifest_holds_the_parsed_params(tmp_path):
+    cfg_path = _k_pair_cfg(tmp_path)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"]["params"]["reaction"]["k_plus"] == 0.2
+    assert manifest["config"]["params"]["reaction"]["k_minus"] == 0.02
+    cfg = ac.parse_config(Path(cfg_path).read_text())
+    assert cfg.phase_field_params() is cfg.params
+
+
+def test_simulate_out_on_an_existing_file_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    cfg = write_cfg(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == "keep"
+
+
 @pytest.mark.parametrize("override", [
     "discretization.tau=abc", "domain.lengths=1, abc", "output.stride=nan",
     "output.stride=inf", "output.modes_lmax=nan", "converge.dim=nan", "domain.dim=1.7",
@@ -219,6 +254,15 @@ def test_sharp_ode_negative_t_end_exit_code(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert "t_end must be finite and >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sharp_ode_out_in_a_missing_directory_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "ode.csv"
+    assert main(["sharp-ode", *SHARP_FLAGS, "--q0", "0.3", "--t-end", "0.01",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing" in err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("flags", [["--Lt", "0"], ["--Lt", "nan"], ["--lmax", "-3"]])

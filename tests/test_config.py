@@ -24,21 +24,23 @@ q0 = 0.3
 
 def test_minimal_defaults():
     cfg = ac.parse_config(MINIMAL)
-    assert cfg.m_plus == 1.0 and cfg.m_minus == 1.0
-    assert cfg.rho_plus == 1.0 and cfg.rho_minus == 1.0
-    assert cfg.r_c == 1.0 and cfg.l_coef == 0.0
+    params = cfg.params
+    assert params.mobility == ac.MobilitySpec(1.0, 1.0)
+    sharp = ac.derive_sharp_params(params, 1.0, 1.0)
+    assert sharp.rho_plus == 1.0 and sharp.rho_minus == 1.0
+    assert params.reaction.r_c == 1.0 and params.reaction.l_coef == 0.0
     # K derived through rho = K / (2 beta) for the quartic
-    assert cfg.k_plus == pytest.approx(0.2)
-    assert cfg.k_minus == pytest.approx(0.2)
+    assert params.reaction.k_plus == pytest.approx(0.2)
+    assert params.reaction.k_minus == pytest.approx(0.2)
     assert cfg.dim == 1
     assert cfg.tau == pytest.approx(1e-3)
-    params = cfg.phase_field_params()
     assert params.beta == 0.1
+    assert cfg.phase_field_params() is params
 
 
 def test_epsilon_symbolic_exact():
     cfg = ac.parse_config(MINIMAL.replace("1/(4*pi)", "1/(16*pi)"))
-    assert cfg.epsilon == 1.0 / (16.0 * math.pi)
+    assert cfg.params.epsilon == 1.0 / (16.0 * math.pi)
     assert ac.parse_epsilon("1/(16*pi)") == 1.0 / (16.0 * math.pi)
     assert ac.parse_epsilon("1/(2.5 * pi)") == 1.0 / (2.5 * math.pi)
     assert ac.parse_epsilon("0.05") == 0.05
@@ -85,8 +87,18 @@ kind = constant
 value = 0
 """
     cfg = ac.parse_config(doc)
-    assert cfg.rho_plus == pytest.approx(1.0)
-    assert cfg.rho_minus == pytest.approx(0.1)
+    # K is stored as given; rho is derived from it only for the sharp limit
+    assert (cfg.params.reaction.k_plus, cfg.params.reaction.k_minus) == (0.2, 0.02)
+    sharp = ac.derive_sharp_params(cfg.params, 1.0, 1.0)
+    assert sharp.rho_plus == pytest.approx(1.0)
+    assert sharp.rho_minus == pytest.approx(0.1)
+
+
+def test_k_pair_with_zero_beta_is_a_configuration_error():
+    # K is stored as given, so nothing divides by beta before PhaseFieldParams checks it
+    doc = MINIMAL.replace("s_minus = 4\n", "s_minus = 4\nk_plus = 0.2\nk_minus = 0.2\n")
+    with pytest.raises(ac.ConfigurationError, match="beta must be positive"):
+        ac.parse_config(doc, overrides={"physics.beta": "0"})
 
 
 def test_unknown_field_reports_section():
@@ -123,7 +135,7 @@ def test_unsupported_potential_kind():
 def test_overrides_win_over_file():
     cfg = ac.parse_config(MINIMAL, overrides={"physics.beta": "0.5",
                                               "output.directory": "/tmp/x"})
-    assert cfg.beta == 0.5
+    assert cfg.params.beta == 0.5
     assert cfg.directory == "/tmp/x"
 
 
@@ -173,8 +185,9 @@ def test_initial_defaults_from_the_kind_table(kind, body, raw):
             assert cfg.init_params[name] == default, name
     # the resolved dict and the raw one give the same field, bit for bit
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
-    resolved = ac.init_field(mesh, kind, cfg.init_params, cfg.epsilon).values
-    assert np.array_equal(resolved, ac.init_field(mesh, kind, raw, cfg.epsilon).values)
+    eps = cfg.params.epsilon
+    resolved = ac.init_field(mesh, kind, cfg.init_params, eps).values
+    assert np.array_equal(resolved, ac.init_field(mesh, kind, raw, eps).values)
 
 
 def test_converge_section():

@@ -295,7 +295,6 @@ def test_derive_sharp_quartic_rho():
     sharp = ac.derive_sharp_params(_params(beta=1.0, k_plus=2.0, k_minus=2.0), 1.0, 1.0)
     assert sharp.rho_plus == pytest.approx(1.0, abs=1e-15)
     assert sharp.rho_minus == pytest.approx(1.0, abs=1e-15)
-    assert sharp.gamma == pytest.approx(ac.GAMMA_QUARTIC, abs=0)
 
 
 def test_derive_sharp_si_values():

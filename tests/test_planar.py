@@ -185,7 +185,7 @@ def test_integrate_stage_leaving_domain_is_a_boundary_hit():
     # (0, 1), while the combined step q_new = 0.747 stays inside
     sharp = ac.SharpParams(
         rho_plus=400.0, rho_minus=400.0, d_plus=-1.0, d_minus=1.0,
-        lambda_plus=20.0, lambda_minus=20.0, gamma=1.0, s_interface=5.0,
+        lambda_plus=20.0, lambda_minus=20.0, s_interface=5.0,
         length_L=1.0, width_Lt=1.0)
     traj = ac.integrate_q(sharp, 0.8, 0.1, 0.1)
     assert traj.boundary_hit
@@ -283,7 +283,7 @@ def test_amplification_matches_normalized_formula(L, Lt):
     for l2 in range(7):
         mode = ac.ModeIndex.of(l2)
         row = ac.amplification(sharp, beta, L / 2, mode)
-        expected = ac.amplification_normalized(beta, L, Lt, sharp.gamma, mode)
+        expected = ac.amplification_normalized(beta, L, Lt, mode)
         assert row.factor == pytest.approx(expected, abs=1e-12)
 
 
@@ -342,7 +342,7 @@ def test_amplification_preconditions(symmetric):
 def test_beta_crit_is_amplification_root(symmetric):
     for l2 in range(1, 7):
         mode = ac.ModeIndex.of(l2)
-        crit = ac.beta_crit(1.0, 1.0, symmetric.gamma, mode)
+        crit = ac.beta_crit(1.0, 1.0, mode)
         row = ac.amplification(symmetric, crit, 0.5, mode)
         assert abs(row.factor) < 1e-10
         assert row.beta_crit == pytest.approx(crit, abs=0)
@@ -350,22 +350,21 @@ def test_beta_crit_is_amplification_root(symmetric):
 
 def test_beta_crit_sign_change(symmetric):
     mode = ac.ModeIndex.of(2)
-    crit = ac.beta_crit(1.0, 1.0, symmetric.gamma, mode)
+    crit = ac.beta_crit(1.0, 1.0, mode)
     assert ac.amplification(symmetric, 0.9 * crit, 0.5, mode).factor > 0
     assert ac.amplification(symmetric, 1.1 * crit, 0.5, mode).factor < 0
 
 
 def test_beta_crit_large_domain_limit(symmetric):
     mode = ac.ModeIndex.of(3)
-    gamma = symmetric.gamma
     k = mode.l_sq * math.pi**2
-    limit = (2.0 / gamma) / k * (1.0 - 1.0 / math.sqrt(1.0 + k))
-    assert ac.beta_crit(500.0, 1.0, gamma, mode) == pytest.approx(limit, rel=1e-12)
+    limit = (2.0 / ac.GAMMA_QUARTIC) / k * (1.0 - 1.0 / math.sqrt(1.0 + k))
+    assert ac.beta_crit(500.0, 1.0, mode) == pytest.approx(limit, rel=1e-12)
 
 
 def test_beta_crit_rejects_translation(symmetric):
     with pytest.raises(ValueError):
-        ac.beta_crit(1.0, 1.0, symmetric.gamma, ac.ModeIndex.of(0))
+        ac.beta_crit(1.0, 1.0, ac.ModeIndex.of(0))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +394,8 @@ def test_mode_representatives():
 
 
 def test_mode_index_invariant():
+    # l_sq is computed from l_vec, never given beside it
+    assert ac.ModeIndex((1, 2)).l_sq == 5
+    assert ac.ModeIndex.of(1, 2) == ac.ModeIndex((1, 2))
     with pytest.raises(ac.ConfigurationError):
-        ac.ModeIndex((1, 2), 4)
-    assert ac.ModeIndex.of(1, 2).l_sq == 5
+        ac.ModeIndex((1, -2))

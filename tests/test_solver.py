@@ -740,7 +740,8 @@ def test_operator_mirror_equivariance():
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 16)
     K = ac.stiffness_matrix(mesh)
     rng = np.random.default_rng(0)
-    grid = rng.standard_normal(mesh.node_shape[::-1])
+    n1, n2 = mesh.cells
+    grid = rng.standard_normal((n2 + 1, n1 + 1))
     grid = 0.5 * (grid + grid[::-1, :])
     f = grid.ravel()
     lhs = mesh.grid_view(K @ f)
