@@ -60,14 +60,11 @@ from .solver import (
 from .analysis import (
     ConvergenceRow,
     ConvergenceTable,
-    ModeSpectrum,
     auto_mesh_size,
     convergence_study,
     eoc_sequence,
     fit_growth_rate,
     growth_window,
-    interface_crossings,
-    interface_height,
     mode_amplitudes,
     reference_front_position,
     track_interface,

@@ -1,8 +1,11 @@
 """Validation instruments.
 
-Interface tracking along lattice lines, transverse cosine-mode amplitude
-extraction, growth-rate fitting and the diffuse-vs-sharp convergence study
-with its experimental order of convergence.
+Interface tracking and transverse cosine-mode extraction share one routine,
+``_row_crossings``, which finds the zero crossings of every lattice row of
+a field (the rows of ``StructuredMesh.grid_view``) in one vectorized pass:
+tracking reads the row of its line, mode extraction needs exactly one
+crossing per row.  Also here: growth-rate fitting and the diffuse-vs-sharp
+convergence study with its experimental order of convergence.
 """
 
 from __future__ import annotations
@@ -28,102 +31,68 @@ REFERENCE_DT = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# interface tracking
+# interface tracking and the transverse mode spectrum
 # ---------------------------------------------------------------------------
 
-def line_values(field: NodalField, line_x2: float = 0.0):
-    """Nodal values and x1 coordinates along the lattice line x2 = line_x2."""
-    mesh = field.mesh
-    if mesh.dim == 1:
-        return field.values, mesh.coords[:, 0]
-    j = int(round(line_x2 / mesh.h))
-    j = min(max(j, 0), mesh.cells[1])
-    n1 = mesh.cells[0]
-    idx = slice(j * (n1 + 1), (j + 1) * (n1 + 1))
-    return field.values[idx], mesh.coords[idx, 0]
+def _row_crossings(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros of the piecewise-linear profiles ``rows[j]`` over the nodes ``x``.
 
-
-def zero_crossings(values: np.ndarray, coords: np.ndarray) -> list[float]:
-    """Linear-interpolation zeros of a nodal profile, left to right."""
-    out = []
-    v = np.asarray(values, dtype=float)
-    for i in range(len(v) - 1):
-        a, b = v[i], v[i + 1]
-        if a == 0.0:
-            if not out or out[-1] != coords[i]:
-                out.append(float(coords[i]))
-        elif a * b < 0.0:
-            out.append(float(coords[i] + (coords[i + 1] - coords[i]) * a / (a - b)))
-    if v[-1] == 0.0:
-        out.append(float(coords[-1]))
-    return out
-
-
-def interface_crossings(field: NodalField, line_x2: float = 0.0) -> list[float]:
-    """All sign-change positions of the field along a lattice line."""
-    return zero_crossings(*line_values(field, line_x2))
+    A zero is a node whose value is exactly 0, or the linear zero between two
+    neighbours of opposite sign.  Returns the row index and the position of
+    each zero, in row-major, left-to-right order.
+    """
+    at_node = rows == 0.0
+    between = np.zeros_like(at_node)
+    between[:, :-1] = rows[:, :-1] * rows[:, 1:] < 0.0
+    row, k = np.nonzero(at_node | between)
+    pos = x[k]
+    cross = between[row, k]
+    r, i = row[cross], k[cross]
+    a, b = rows[r, i], rows[r, i + 1]
+    pos[cross] = x[i] + (x[i + 1] - x[i]) * a / (a - b)
+    return row, pos
 
 
 def track_interface(field: NodalField, line_x2: float = 0.0,
                     prev: float | None = None) -> float:
-    """Front position: the zero crossing along x2 = line_x2.
+    """Front position: the zero crossing along the lattice line x2 = line_x2.
 
     With several crossings the one nearest ``prev`` is returned; without a
     previous value an ambiguous profile is an error, as is a profile with
     no sign change at all.
     """
-    crossings = interface_crossings(field, line_x2)
-    if not crossings:
+    mesh = field.mesh
+    line = mesh.grid_view(field.values)
+    if mesh.dim == 2:
+        line = line[min(max(int(round(line_x2 / mesh.h)), 0), mesh.cells[1])]
+    _, crossings = _row_crossings(line[None, :], mesh.coords[: mesh.cells[0] + 1, 0])
+    if crossings.size == 0:
         raise TrackingError("no sign change along the tracking line")
-    if len(crossings) == 1:
-        return crossings[0]
+    if crossings.size == 1:
+        return float(crossings[0])
     if prev is None or not math.isfinite(prev):
         raise TrackingError(
-            f"{len(crossings)} crossings at {[f'{c:.4f}' for c in crossings]} "
+            f"{crossings.size} crossings at {[f'{c:.4f}' for c in crossings]} "
             "and no previous position to disambiguate")
-    return min(crossings, key=lambda c: abs(c - prev))
+    return float(crossings[np.argmin(np.abs(crossings - prev))])
 
 
-# ---------------------------------------------------------------------------
-# transverse mode spectrum
-# ---------------------------------------------------------------------------
+def mode_amplitudes(field: NodalField, l_max: int) -> np.ndarray:
+    """Cosine-mode amplitudes A_0..A_l_max of the interface height h(x2).
 
-@dataclass
-class ModeSpectrum:
-    """Cosine-mode amplitudes of the interface height at one instant."""
-
-    amplitudes: np.ndarray
-
-    def dominant(self) -> int:
-        """Index of the largest-magnitude mode with l >= 1."""
-        return 1 + int(np.argmax(np.abs(self.amplitudes[1:])))
-
-
-def interface_height(field: NodalField) -> np.ndarray:
-    """Front position per lattice row: h(x2_j) from per-row zero crossings."""
+    h(x2_j) is the one zero crossing of lattice row j; the amplitudes are
+    its trapezoid-weighted cosine projection.
+    """
     mesh = field.mesh
     if mesh.dim != 2:
         raise MeasurementError("mode extraction requires a 2D mesh")
     grid = mesh.grid_view(field.values)
-    x1 = mesh.coords[: mesh.cells[0] + 1, 0]
-    heights = np.empty(grid.shape[0])
-    bad = []
-    for j in range(grid.shape[0]):
-        crossings = zero_crossings(grid[j], x1)
-        if len(crossings) != 1:
-            bad.append((j, len(crossings)))
-        else:
-            heights[j] = crossings[0]
+    row, heights = _row_crossings(grid, mesh.coords[: mesh.cells[0] + 1, 0])
+    counts = np.bincount(row, minlength=grid.shape[0])
+    bad = [(j, int(counts[j])) for j in np.flatnonzero(counts != 1)[:12].tolist()]
     if bad:
         raise MeasurementError(
-            "rows without a unique interface crossing (row, count): " + repr(bad[:12]))
-    return heights
-
-
-def mode_amplitudes(field: NodalField, l_max: int) -> ModeSpectrum:
-    """Trapezoid-weighted cosine projection of the interface height."""
-    mesh = field.mesh
-    heights = interface_height(field)
+            "rows without a unique interface crossing (row, count): " + repr(bad))
     width = mesh.lengths[1]
     x2 = np.arange(len(heights)) * mesh.h
     trap = np.full(len(heights), mesh.h)
@@ -132,7 +101,7 @@ def mode_amplitudes(field: NodalField, l_max: int) -> ModeSpectrum:
     for l in range(l_max + 1):
         basis = np.cos(math.pi * l * x2 / width)
         amps[l] = (2.0 - (l == 0)) / width * float(np.sum(trap * heights * basis))
-    return ModeSpectrum(amplitudes=amps)
+    return amps
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    ModeSpectrum,
-    convergence_study,
-    fit_growth_rate,
-    growth_window,
-)
+from .analysis import convergence_study, fit_growth_rate, growth_window
 from .config import parse_config
 from .errors import ConfigurationError, NumericalError
 from .model import (
@@ -226,7 +221,7 @@ def _cmd_modes(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table(out_dir / "modes.csv", ["t"] + [f"A{l}" for l in range(l_max + 1)],
                 np.column_stack([record.times, record.mode_amps]))
-    dominant = ModeSpectrum(record.mode_amps[-1]).dominant()
+    dominant = 1 + int(np.argmax(np.abs(record.mode_amps[-1, 1:])))
     q_for_rate = record.q_h[0] if math.isfinite(record.q_h[0]) else cfg.lengths[0] / 2
     predicted = amplification(sharp, cfg.params.beta, q_for_rate,
                               ModeIndex.of(dominant)).growth_rate

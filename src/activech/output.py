@@ -33,8 +33,11 @@ def _fmt(x: float) -> str:
 
 def _atomic_write(path: Path, data: bytes):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:  # name the path the caller gave, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _atomic_write_text(path: Path, text: str):

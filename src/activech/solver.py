@@ -417,7 +417,7 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
     """
     from . import output as outmod
     from .analysis import mode_amplitudes, track_interface
-    from .errors import TrackingError
+    from .errors import MeasurementError, TrackingError
 
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
@@ -466,9 +466,8 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
         q_trace.append(q_now)
         if opts.modes_lmax is not None:
             try:
-                spectrum = mode_amplitudes(fld, opts.modes_lmax)
-                mode_rows.append(spectrum.amplitudes)
-            except Exception as exc:  # measurement errors must not kill the run
+                mode_rows.append(mode_amplitudes(fld, opts.modes_lmax))
+            except MeasurementError as exc:  # a lost front must not kill the run
                 mode_rows.append(np.full(opts.modes_lmax + 1, np.nan))
                 _warn_once(run_warnings, f"mode extraction: {exc}")
         max_abs_phi = max(max_abs_phi, float(np.max(np.abs(phi_vec))))
@@ -510,5 +509,7 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
 
 
 def _warn_once(sink: list[str], message: str):
-    if message not in sink:
+    """Append ``message`` unless ``sink`` holds a warning of its kind (the text before ':')."""
+    kind = message.partition(":")[0]
+    if all(seen.partition(":")[0] != kind for seen in sink):
         sink.append(message)

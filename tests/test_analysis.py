@@ -1,5 +1,6 @@
 """Tests for interface tracking, mode extraction, growth fits and EOC."""
 
+import itertools
 import math
 import warnings
 
@@ -8,7 +9,7 @@ import pytest
 
 import activech as ac
 from activech import solver
-from activech.analysis import zero_crossings
+from activech.analysis import _row_crossings
 
 SQRT2 = math.sqrt(2.0)
 
@@ -26,13 +27,150 @@ def quartic():
 
 
 # ---------------------------------------------------------------------------
+# reference: the per-node loop the vectorized crossing routine replaced
+# ---------------------------------------------------------------------------
+
+def reference_zero_crossings(values, coords):
+    """Linear-interpolation zeros of a nodal profile, left to right."""
+    out = []
+    v = np.asarray(values, dtype=float)
+    for i in range(len(v) - 1):
+        a, b = v[i], v[i + 1]
+        if a == 0.0:
+            if not out or out[-1] != coords[i]:
+                out.append(float(coords[i]))
+        elif a * b < 0.0:
+            out.append(float(coords[i] + (coords[i + 1] - coords[i]) * a / (a - b)))
+    if v[-1] == 0.0:
+        out.append(float(coords[-1]))
+    return out
+
+
+def reference_track_interface(field, line_x2=0.0, prev=None):
+    mesh = field.mesh
+    if mesh.dim == 1:
+        values, coords = field.values, mesh.coords[:, 0]
+    else:
+        j = min(max(int(round(line_x2 / mesh.h)), 0), mesh.cells[1])
+        idx = slice(j * (mesh.cells[0] + 1), (j + 1) * (mesh.cells[0] + 1))
+        values, coords = field.values[idx], mesh.coords[idx, 0]
+    crossings = reference_zero_crossings(values, coords)
+    if not crossings:
+        raise ac.TrackingError("no sign change along the tracking line")
+    if len(crossings) == 1:
+        return crossings[0]
+    if prev is None or not math.isfinite(prev):
+        raise ac.TrackingError(
+            f"{len(crossings)} crossings at {[f'{c:.4f}' for c in crossings]} "
+            "and no previous position to disambiguate")
+    return min(crossings, key=lambda c: abs(c - prev))
+
+
+def reference_mode_amplitudes(field, l_max):
+    mesh = field.mesh
+    if mesh.dim != 2:
+        raise ac.MeasurementError("mode extraction requires a 2D mesh")
+    grid = mesh.grid_view(field.values)
+    x1 = mesh.coords[: mesh.cells[0] + 1, 0]
+    heights = np.empty(grid.shape[0])
+    bad = []
+    for j in range(grid.shape[0]):
+        crossings = reference_zero_crossings(grid[j], x1)
+        if len(crossings) != 1:
+            bad.append((j, len(crossings)))
+        else:
+            heights[j] = crossings[0]
+    if bad:
+        raise ac.MeasurementError(
+            "rows without a unique interface crossing (row, count): " + repr(bad[:12]))
+    width = mesh.lengths[1]
+    x2 = np.arange(len(heights)) * mesh.h
+    trap = np.full(len(heights), mesh.h)
+    trap[0] = trap[-1] = 0.5 * mesh.h
+    amps = np.empty(l_max + 1)
+    for l in range(l_max + 1):
+        basis = np.cos(math.pi * l * x2 / width)
+        amps[l] = (2.0 - (l == 0)) / width * float(np.sum(trap * heights * basis))
+    return amps
+
+
+def _outcome(measure, *args, **kwargs):
+    """The value ``measure`` returns, or the type and text of the error it raises."""
+    try:
+        return measure(*args, **kwargs)
+    except ac.NumericalError as exc:
+        return type(exc), str(exc)
+
+
+def _random_fields(rng, dim, count):
+    """Seeded random fields: fronts rounded to 0.1, noise and one-signed values.
+
+    The rounding and the noise put exact zeros on some nodes.
+    """
+    lengths = (1.0, 1.0)[:dim]
+    for n in range(count):
+        mesh = ac.build_mesh(dim, lengths, 1 / int(rng.choice([4, 8, 16])))
+        if n % 3 == 0:
+            q = rng.uniform(0.1, 0.9)
+            if dim == 2:
+                q = q + 0.05 * np.cos(math.pi * rng.integers(1, 4) * mesh.coords[:, 1])
+            values = np.round(np.tanh((q - mesh.coords[:, 0]) / rng.uniform(0.05, 0.3)), 1)
+        elif n % 3 == 1:
+            values = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+            values[rng.random(mesh.n_nodes) < 0.1] = 0.0
+        else:
+            values = rng.uniform(0.1, 1.0, mesh.n_nodes) * rng.choice([-1.0, 1.0])
+        yield ac.NodalField(values, mesh)
+
+
+# ---------------------------------------------------------------------------
 # interface tracking
 # ---------------------------------------------------------------------------
 
 def test_crossing_linear_interpolation():
-    values = np.array([0.2, -0.2])
-    coords = np.array([0.4, 0.5])
-    assert zero_crossings(values, coords) == [pytest.approx(0.45)]
+    row, pos = _row_crossings(np.array([[0.2, -0.2]]), np.array([0.4, 0.5]))
+    assert row.tolist() == [0]
+    assert pos.tolist() == [pytest.approx(0.45)]
+
+
+def test_row_crossings_matches_reference_loop_on_every_row():
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.uniform(0.1, 0.3, 9))  # uneven spacing: the rounding order shows
+    rows = rng.integers(-1, 2, (40, 9)) * rng.uniform(0.1, 1.0, (40, 9))
+    row, pos = _row_crossings(rows, x)
+    assert np.all(np.diff(row) >= 0)
+    for j in range(rows.shape[0]):
+        assert pos[row == j].tolist() == reference_zero_crossings(rows[j], x)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_track_interface_matches_reference_loop(dim):
+    rng = np.random.default_rng(100 + dim)
+    outcomes = set()
+    for fld in _random_fields(rng, dim, 150):
+        for line_x2 in ((0.0, 0.3, 1.0, 1.7) if dim == 2 else (0.0,)):  # 1.7: top row
+            for prev in (None, rng.uniform(0.0, 1.0), math.nan):
+                got = _outcome(ac.track_interface, fld, line_x2=line_x2, prev=prev)
+                want = _outcome(reference_track_interface, fld, line_x2=line_x2, prev=prev)
+                assert type(got) is type(want) and got == want
+                outcomes.add(got[1].split()[1] if isinstance(got, tuple) else "position")
+    # returned positions, a missing crossing and an ambiguous profile were all compared
+    assert outcomes == {"position", "sign", "crossings"}
+
+
+def test_mode_amplitudes_match_reference_loop():
+    rng = np.random.default_rng(7)
+    failed = passed = 0
+    for fld in itertools.chain(_random_fields(rng, 2, 150), _random_fields(rng, 1, 2)):
+        got = _outcome(ac.mode_amplitudes, fld, 5)
+        want = _outcome(reference_mode_amplitudes, fld, 5)
+        if isinstance(want, tuple):
+            assert got == want
+            failed += 1
+        else:
+            assert got.tobytes() == want.tobytes()
+            passed += 1
+    assert failed > 10 and passed > 10
 
 
 def test_track_interface_on_tanh(quartic):
@@ -57,7 +195,7 @@ def test_track_interface_multiple_crossings():
     mesh = ac.build_mesh(1, (1.0,), 1 / 16)
     values = np.cos(3 * math.pi * mesh.coords[:, 0])  # three crossings
     fld = ac.NodalField(values, mesh)
-    crossings = ac.interface_crossings(fld)
+    _, crossings = _row_crossings(values[None, :], mesh.coords[:, 0])
     assert len(crossings) == 3
     with pytest.raises(ac.TrackingError):
         ac.track_interface(fld)
@@ -94,20 +232,20 @@ def test_mode_amplitudes_flat(quartic):
     eps = 1 / (16 * math.pi)
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 64)
     fld = _synthetic_front(mesh, eps, 0.5, [])
-    spec = ac.mode_amplitudes(fld, 6)
-    assert spec.amplitudes[0] == pytest.approx(0.5, abs=1e-6)
-    assert np.max(np.abs(spec.amplitudes[1:])) < 1e-10
+    amps = ac.mode_amplitudes(fld, 6)
+    assert amps[0] == pytest.approx(0.5, abs=1e-6)
+    assert np.max(np.abs(amps[1:])) < 1e-10
 
 
 def test_mode_amplitudes_single_mode(quartic):
     eps = 1 / (16 * math.pi)
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 128)
     fld = _synthetic_front(mesh, eps, 0.5, [(2, 0.01)])
-    spec = ac.mode_amplitudes(fld, 8)
-    assert spec.amplitudes[2] == pytest.approx(0.01, rel=0.02)
-    others = np.delete(spec.amplitudes, [0, 2])
+    amps = ac.mode_amplitudes(fld, 8)
+    assert amps[2] == pytest.approx(0.01, rel=0.02)
+    others = np.delete(amps, [0, 2])
     assert np.max(np.abs(others)) < 1e-4
-    assert spec.dominant() == 2
+    assert 1 + int(np.argmax(np.abs(amps[1:]))) == 2
 
 
 def test_mode_amplitudes_three_modes(quartic):
@@ -115,9 +253,9 @@ def test_mode_amplitudes_three_modes(quartic):
     mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 128)
     injected = [(1, 0.012), (3, -0.008), (5, 0.005)]
     fld = _synthetic_front(mesh, eps, 0.5, injected)
-    spec = ac.mode_amplitudes(fld, 8)
+    amps = ac.mode_amplitudes(fld, 8)
     for l, amp in injected:
-        assert spec.amplitudes[l] == pytest.approx(amp, rel=0.02)
+        assert amps[l] == pytest.approx(amp, rel=0.02)
 
 
 def test_mode_amplitudes_requires_crossings(quartic):

@@ -262,6 +262,7 @@ def test_sharp_ode_out_in_a_missing_directory_exit_code(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "missing" in err
+    assert "ode.csv" in err and ".tmp" not in err
     assert not out.parent.exists()
 
 

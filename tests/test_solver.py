@@ -849,6 +849,41 @@ def test_run_simulation_determinism(quartic):
     assert np.array_equal(a.mass, b.mass)
 
 
+@pytest.fixture(scope="module")
+def disk_run(quartic):
+    """Runs a disk with mode extraction on: no row has a unique crossing."""
+    def go(**options):
+        cfg = ac.SolverConfig()
+        return ac.run_simulation(make_params(quartic), (2, (1.0, 1.0), 1 / 32),
+                                 ("disk", {"center": (0.5, 0.5), "r0": 0.25}), cfg,
+                                 50 * cfg.tau,
+                                 outputs=ac.OutputOptions(stride=1, modes_lmax=4, **options))
+    return go
+
+
+def test_mode_extraction_failure_records_nan_rows(disk_run):
+    record = disk_run(track_interface=False)
+    assert record.mode_amps.shape == (51, 5)
+    assert np.all(np.isnan(record.mode_amps))
+    assert record.warnings[0].startswith("mode extraction: rows without a unique")
+
+
+def test_run_warns_once_per_kind(disk_run):
+    # the disk shrinks, so the list of bad rows in the mode-extraction message changes
+    record = disk_run()
+    kinds = [message.partition(":")[0] for message in record.warnings]
+    assert kinds == ["interface tracking", "mode extraction"]
+
+
+def test_mode_extraction_programming_error_propagates(disk_run, monkeypatch):
+    def broken(field, l_max):
+        raise TypeError("broken measurement")
+
+    monkeypatch.setattr("activech.analysis.mode_amplitudes", broken)
+    with pytest.raises(TypeError, match="broken measurement"):
+        disk_run()
+
+
 def test_boundedness_flag_is_warning_not_error(quartic):
     assert PHI_BOUND_WARN == pytest.approx(1.1)
     # a healthy run stays bounded and flags nothing
