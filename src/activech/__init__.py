@@ -55,6 +55,7 @@ from .solver import (
     SolverConfig,
     Stepper,
     free_energy,
+    run_members,
     run_simulation,
 )
 from .analysis import (

@@ -20,7 +20,7 @@ from .mesh import NodalField
 from .model import PhaseFieldParams, derive_sharp_params
 from .output import OutputOptions
 from .planar import integrate_q
-from .solver import SolverConfig, max_mesh_size, run_simulation
+from .solver import SolverConfig, max_mesh_size, run_members
 
 #: growth_window's linear regime: from GROWTH_TAKEOFF times the initial
 #: amplitude up to GROWTH_SATURATION times the transverse width.
@@ -206,18 +206,20 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
                       max_workers: int | None = None) -> ConvergenceTable:
     """Front-position error against the sharp ODE for a decreasing epsilon ladder.
 
-    Each rung is one :func:`run_simulation` of a flat front at ``q0`` that
-    records only t = 0 and ``t_end``, against the planar ODE at step
-    ``REFERENCE_DT``; the rungs run serially.  The flat-front problem is
-    genuinely one-dimensional, so ``dim=1`` is the fast default; ``dim=2``
-    runs the full planar geometry.  A run's
+    Each rung is a flat front at ``q0`` that records only t = 0 and
+    ``t_end``, against the planar ODE at step ``REFERENCE_DT``.  The rungs
+    run in lock-step as the members of one :func:`run_members`; in 1D each
+    rung's result is bit-identical to its own :func:`run_simulation`.  The
+    flat-front problem is genuinely one-dimensional, so ``dim=1`` is the fast
+    default; ``dim=2`` runs the full planar geometry.  If the joint run
+    raises a NumericalError, each rung reruns alone and its own
     NumericalError annotates its row; a ConfigurationError propagates.
     ``max_workers`` must be ``None`` or 1; any other value raises
     ConfigurationError.
     """
     if max_workers not in (None, 1):
         raise ConfigurationError(
-            f"max_workers must be None or 1 (rungs run serially), got {max_workers!r}")
+            f"max_workers must be None or 1 (rungs run in one process), got {max_workers!r}")
     epsilons = [float(e) for e in epsilons]
     if not all(0.0 < eps < prev for prev, eps in zip([math.inf] + epsilons, epsilons)):
         raise ConfigurationError(
@@ -226,20 +228,26 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
     q_ref = reference_front_position(p, lengths[0], lengths[1] if len(lengths) > 1 else 1.0,
                                      q0, t_end)
     outputs = OutputOptions(stride=max(1, int(round(t_end / cfg.tau))))
+    hs = [auto_mesh_size(eps) if h is None else h for eps in epsilons]
+    rungs = [(replace(p, epsilon=eps), (dim, lengths[:dim], h_eff), ("flat_front", {"q0": q0}))
+             for eps, h_eff in zip(epsilons, hs)]
 
+    try:
+        runs = run_members(rungs, cfg, t_end, outputs=outputs)
+    except NumericalError:   # find the failing rungs
+        runs = []
+        for rung in rungs:
+            try:
+                runs.extend(run_members([rung], cfg, t_end, outputs=outputs))
+            except NumericalError as exc:  # annotate, don't abort the ladder
+                runs.append(exc)
     rows = []
-    for eps in epsilons:
-        err, h_eff, note = math.nan, h, ""
-        try:
-            h_eff = auto_mesh_size(eps) if h is None else h
-            record = run_simulation(replace(p, epsilon=eps), (dim, lengths[:dim], h_eff),
-                                    ("flat_front", {"q0": q0}), cfg, t_end, outputs=outputs)
-            err = abs(q_ref - float(record.q_h[-1]))
-            if math.isnan(err):
-                note = "; ".join(record.warnings)
-        except NumericalError as exc:  # annotate, don't abort the ladder
-            note = f"{type(exc).__name__}: {exc}"
-        rows.append(ConvergenceRow(epsilon=eps, h=math.nan if h_eff is None else h_eff,
-                                   error=err, eoc=None, note=note))
+    for eps, h_eff, run in zip(epsilons, hs, runs):
+        if isinstance(run, NumericalError):
+            err, note = math.nan, f"{type(run).__name__}: {run}"
+        else:
+            err = abs(q_ref - float(run.q_h[-1]))
+            note = "; ".join(run.warnings) if math.isnan(err) else ""
+        rows.append(ConvergenceRow(epsilon=eps, h=h_eff, error=err, eoc=None, note=note))
     eocs = eoc_sequence(epsilons, [row.error for row in rows])
     return ConvergenceTable([replace(row, eoc=eoc) for row, eoc in zip(rows, eocs)])

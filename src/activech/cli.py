@@ -214,8 +214,9 @@ def _cmd_modes(args) -> int:
         raise ConfigurationError(f"[output] modes_lmax: modes needs at least 1, got {modes_lmax}")
     sharp = derive_sharp_params(cfg.params, cfg.lengths[0], cfg.lengths[1])
     record = _run_configured(cfg, modes_lmax)
-    if record.mode_amps is None:
-        raise NumericalError("mode extraction produced no data")
+    if np.all(np.isnan(record.mode_amps)):   # no record had a front to measure
+        raise NumericalError("; ".join(w for w in record.warnings
+                                       if w.startswith("mode extraction:")))
     l_max = record.mode_amps.shape[1] - 1
     out_dir = Path(cfg.directory or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

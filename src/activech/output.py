@@ -37,6 +37,7 @@ def _atomic_write(path: Path, data: bytes):
         tmp.write_bytes(data)
         os.replace(tmp, path)
     except OSError as exc:  # name the path the caller gave, not the temporary file
+        tmp.unlink(missing_ok=True)
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 

@@ -55,10 +55,17 @@ Refinement stops at ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10)
 (Eisenstat & Walker 1996): after the update of the :class:`Stepper`'s Newton
 iteration the next r1 is exactly -(rhs - S x) and r2 holds only the psi'
 Taylor remainder, so a smaller residual cannot change whether Newton converges.
+
+Independent problems ("members", such as the rungs of an epsilon ladder)
+step in lock-step as one block-diagonal system: one factorization and
+back-solve per Newton iteration serve them all.  Each member's residual and
+refinement stop are its own, and a converged member is frozen, so in 1D its
+iterates are bit-identical to its own run's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 import warnings
@@ -117,10 +124,39 @@ class SimState:
 
 @dataclass
 class StepReport:
-    """Newton diagnostics for one accepted time step."""
+    """Newton diagnostics for one accepted time step.
+
+    ``iterations`` counts the joint linear solves; member i took ``len(histories[i]) - 1``.
+    """
 
     iterations: int
-    residuals: list[float]
+    histories: list[list[float]]
+
+
+def _members(mesh, params) -> tuple[tuple[StructuredMesh, ...], tuple[PhaseFieldParams, ...]]:
+    """The meshes and parameters of one member, or of equal-length sequences of members."""
+    meshes = (mesh,) if isinstance(mesh, StructuredMesh) else tuple(mesh)
+    params = (params,) if isinstance(params, PhaseFieldParams) else tuple(params)
+    shared = {(q.beta, q.reaction, q.mobility) for q in params}
+    if len(meshes) != len(params) or len(shared) != 1:
+        raise ConfigurationError(
+            "members need one mesh each and must share beta, the reaction and the mobility")
+    return meshes, params
+
+
+def _stack(arrays, offsets) -> np.ndarray:
+    """The arrays ``arrays[i] + offsets[i]`` end to end; one array at offset 0 is itself."""
+    if len(arrays) == 1 and offsets[0] == 0:
+        return arrays[0]
+    return np.concatenate([a + o for a, o in zip(arrays, offsets)])
+
+
+def _join(blocks) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Compressed (indptr, indices) of the block diagonal, and each block's first entry."""
+    at = [0, *itertools.accumulate(len(indices) for _, indices in blocks)]
+    nodes = [0, *itertools.accumulate(len(indptr) - 1 for indptr, _ in blocks)]
+    indptr = [indptr[:-1] for indptr, _ in blocks[:-1]] + [blocks[-1][0]]
+    return _stack(indptr, at), _stack([indices for _, indices in blocks], nodes), at
 
 
 def _band_product(a_offsets, a, b_offsets, b, offsets) -> np.ndarray:
@@ -143,6 +179,27 @@ def _band_product(a_offsets, a, b_offsets, b, offsets) -> np.ndarray:
     return out
 
 
+class _Block:
+    """One member's stencil bands and the CSC (indptr, indices) of its Km and S.
+
+    ``km_gather`` and ``gather`` place their entries in the band arrays; ``km_at``
+    and ``diag_at`` are the ``S.data`` positions of Km's entries and of the diagonal.
+    """
+
+    def __init__(self, mesh: StructuredMesh):
+        self.mesh, self.w_inv = mesh, (1.0 / mesh.lumped)[None]
+        self.k_offsets, self.k = offs, k = stencil_bands(mesh)
+        self.offsets = tuple(sorted({p + q for p in offs for q in offs}))
+        # Km shares K's pattern; S's pattern is every two-edge path
+        *self.km_pattern, self.km_gather = band_pattern(offs, k != 0.0)
+        paths = _band_product(offs, np.abs(k), offs, np.abs(k), self.offsets)
+        *self.s_pattern, self.gather = band_pattern(self.offsets, paths != 0.0)
+        mask = np.zeros(paths.shape, bool)
+        mask[[self.offsets.index(p) for p in offs]] = k != 0.0
+        self.km_at = np.flatnonzero(mask.ravel()[self.gather])
+        self.diag_at = np.flatnonzero(self.gather // mesh.n_nodes == self.offsets.index(0))
+
+
 class SchurOperator:
     """S = W/tau + beta eps Km W^-1 K + (beta/eps) Km diag(psi'') on a fixed pattern.
 
@@ -152,55 +209,57 @@ class SchurOperator:
     positions of the diagonal and of Km's entries are built on the first
     :meth:`set_mobility`; afterwards only values are written.
     :meth:`solve` solves with the current S against a reused factorization.
+
+    Several members (``mesh`` and ``params`` as sequences) give the block
+    diagonal of their operators: the CSC arrays stack each member's
+    :class:`_Block`, and ``slices[i]`` holds member i's nodes.
     """
 
-    def __init__(self, mesh: StructuredMesh, params: PhaseFieldParams):
-        self.mesh = mesh
-        self._w_inv = (1.0 / mesh.lumped)[None]
-        self._c1 = params.beta * params.epsilon
-        self._c2 = params.beta / params.epsilon
+    def __init__(self, mesh, params):
+        self.meshes, params = _members(mesh, params)
+        ends = list(itertools.accumulate(m.n_nodes for m in self.meshes))
+        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self._params = params
         self.S = None
         self._lu = None        # SuperLU of the current S or of an earlier one
-        self._reuse = mesh.dim > 1    # in 1D, factor fresh in float64, in natural order
+        self._reuse = max(m.dim for m in self.meshes) > 1   # 1D: fresh float64 factors
         self._single = self._reuse    # factor in float32; cleared for good on a float32 failure
         self.counts = dict.fromkeys(   # SuperLU calls, and factors dropped for their rate
             ("factor_float32", "factor_float64", "backsolve", "given_up"), 0)
 
     def _build(self):
-        self._k_offsets, self._k = stencil_bands(self.mesh)
-        offs = self._k_offsets
-        self._offsets = tuple(sorted({p + q for p in offs for q in offs}))
-        n = self.mesh.n_nodes
-        # Km shares K's pattern; S's pattern is every two-edge path
-        indptr, indices, self._km_gather = band_pattern(offs, self._k != 0.0)
+        self._blocks = [_Block(mesh) for mesh in self.meshes]
+        n = self.slices[-1].stop
+        indptr, indices, self._km_parts = _join([b.km_pattern for b in self._blocks])
         # Km is symmetric, so its CSC arrays are its CSR arrays
         self.Km = sparse.csr_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
-        paths = _band_product(offs, np.abs(self._k), offs, np.abs(self._k), self._offsets)
-        indptr, indices, self._gather = band_pattern(self._offsets, paths != 0.0)
-        self.S = sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
-        # S.data positions of the diagonal (node order) and of Km's entries (Km.data's order)
-        mask = np.zeros(paths.shape, bool)
-        mask[[self._offsets.index(p) for p in offs]] = self._k != 0.0
-        self._km_at = np.flatnonzero(mask.ravel()[self._gather])
         self._km_col = np.repeat(np.arange(n), np.diff(self.Km.indptr))
-        self._diag_at = np.flatnonzero(self._gather // n == self._offsets.index(0))
+        self._c2 = np.repeat([p.beta / p.epsilon for p in self._params],   # per Km entry
+                             np.diff(self._km_parts))
+        indptr, indices, s_at = _join([b.s_pattern for b in self._blocks])
+        self.S = sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
+        self._km_at = _stack([b.km_at for b in self._blocks], s_at)
+        self._diag_at = _stack([b.diag_at for b in self._blocks], s_at)
         if self._reuse:
             self._S32 = sparse.csc_matrix((np.zeros(len(indices), np.float32), indices, indptr),
                                           shape=(n, n))
 
     def set_mobility(self, coeff: np.ndarray) -> sparse.csr_matrix:
-        """Take Km from per-element mobility ``coeff``; returns Km.
+        """Take Km from per-element mobility ``coeff`` (member after member); returns Km.
 
         Km is one matrix whose values are rewritten on every call.
         """
         if self.S is None:
             self._build()
-        offs = self._k_offsets
-        _, km = stencil_bands(self.mesh, coeff)
-        np.take(km, self._km_gather, out=self.Km.data)
-        km_w = _band_product(offs, km, (0,), self._w_inv, offs)
-        self._base = np.take(self._c1 * _band_product(offs, km_w, offs, self._k, self._offsets),
-                             self._gather)
+        base, at = [], [0, *itertools.accumulate(m.n_elements for m in self.meshes)]
+        for i, (b, p) in enumerate(zip(self._blocks, self._params)):
+            offs = b.k_offsets
+            _, km = stencil_bands(b.mesh, coeff[at[i]:at[i + 1]])
+            np.take(km, b.km_gather, out=self.Km.data[self._km_parts[i]:self._km_parts[i + 1]])
+            km_w = _band_product(offs, km, (0,), b.w_inv, offs)
+            base.append(np.take(p.beta * p.epsilon
+                                * _band_product(offs, km_w, offs, b.k, b.offsets), b.gather))
+        self._base = np.concatenate(base)
         return self.Km
 
     def assemble(self, ddpsi: np.ndarray, w_tau: np.ndarray) -> sparse.csc_matrix:
@@ -239,18 +298,22 @@ class SchurOperator:
                 f"failed: {exc}") from exc
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve S x = rhs to ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10).
+        """Solve S x = rhs to ||rhs_i - S x_i|| <= max(LINEAR_TOL ||rhs_i||, NEWTON_TOL/10).
 
-        The next r1 of :meth:`Stepper.step` is -(rhs - S x).  In 1D, factors S
-        fresh in float64.  In 2D, tries the most recent factorization first;
+        Each member i stops on its own (a norm over all would let one with a
+        small rhs stop short), and refinement then leaves x_i alone.  The next
+        r1 of :meth:`Stepper.step` is -(rhs - S x).  In 1D, factors S fresh in
+        float64.  In 2D, tries the most recent factorization first;
         refactorizes S when refinement stalls, is non-finite or would need more
         than 12 sweeps at its contraction rate, and refactorizes in float64
         when refinement against a fresh float32 factor fails that way too.
         """
-        rhs_norm = math.sqrt(rhs @ rhs)   # np.linalg.norm's own expression
-        if rhs_norm == 0.0:
+        # np.linalg.norm's own expression, member by member
+        norms = [math.sqrt(rhs[s] @ rhs[s]) for s in self.slices]
+        if not any(norms):
             return np.zeros_like(rhs)
-        tol, S = max(LINEAR_TOL, NEWTON_TOL / (10.0 * rhs_norm)), self.S
+        tols = [max(LINEAR_TOL, NEWTON_TOL / (10.0 * n)) if n else math.inf for n in norms]
+        S, sizes = self.S, [s.stop - s.start for s in self.slices]
 
         def refine():
             lu, dtype = self._lu, np.float32 if self._single else np.float64
@@ -261,114 +324,132 @@ class SchurOperator:
 
             x = back_solve(rhs)
             r = rhs - S @ x
-            rel = math.sqrt(r @ r) / rhs_norm
+            rels = [math.sqrt(r[s] @ r[s]) / n if n else 0.0 for s, n in zip(self.slices, norms)]
+            live = [rel > tol and math.isfinite(rel) for rel, tol in zip(rels, tols)]
             for k in range(1, 13):
-                if rel <= tol or not math.isfinite(rel):
+                if not any(live):
                     break
-                x = x + back_solve(r)
+                x = np.where(np.repeat(live, sizes), x + back_solve(r), x)
                 r = rhs - S @ x
-                rel, old_rel = math.sqrt(r @ r) / rhs_norm, rel
-                if rel >= 0.7 * old_rel:
-                    break
-                if rel > tol and k + math.log(tol / rel) / math.log(rel / old_rel) > 12:
-                    self.counts["given_up"] += 1   # at this rate it would miss the budget
-                    break
-            return x, rel
+                for i, s in enumerate(self.slices):
+                    if live[i]:
+                        old_rel, rels[i] = rels[i], math.sqrt(r[s] @ r[s]) / norms[i]
+                        rel, tol, contracts = rels[i], tols[i], rels[i] < 0.7 * old_rel
+                        # at this rate it would miss the budget
+                        given_up = contracts and rel > tol and (
+                            k + math.log(tol / rel) / math.log(rel / old_rel) > 12)
+                        self.counts["given_up"] += given_up
+                        live[i] = contracts and rel > tol and math.isfinite(rel) and not given_up
+            # the first member above its target, if any (a NaN residual is a stall too)
+            return x, next(((rel, tol) for rel, tol in zip(rels, tols) if not rel <= tol), None)
 
         if self._reuse and self._lu is not None:
-            x, rel = refine()
-            if rel <= tol:
+            x, stalled = refine()
+            if stalled is None:
                 return x
         self._factor()
-        x, rel = refine()
-        if not rel <= tol and self._single:   # NaN is a stall too
+        x, stalled = refine()
+        if stalled and self._single:
             self._single = False
             self._factor()
-            x, rel = refine()
-        if not rel <= tol:
+            x, stalled = refine()
+        if stalled:
             raise NumericalError(
-                f"linear solver stalled at relative residual {rel:.3e} "
-                f"(target {tol:.1e})")
+                f"linear solver stalled at relative residual {stalled[0]:.3e} "
+                f"(target {stalled[1]:.1e})")
         return x
 
 
 class Stepper:
-    """Newton iteration of one time step for one (mesh, params, config).
+    """Newton iteration of one time step for one or several members.
+
+    A member is one (mesh, params) problem; ``mesh`` and ``params`` are one
+    member's or equal-length sequences.  Members share beta, the reaction,
+    the mobility and ``config`` and step in lock-step on the stacked nodes
+    (``slices[i]`` holds member i's), one block-diagonal solve per Newton
+    iteration.  A member is frozen once its own residual is below NEWTON_TOL.
 
     Construction does no Schur work: the operator builds S's pattern and Km
     on the first :meth:`step`.
     """
 
-    def __init__(self, mesh: StructuredMesh, params: PhaseFieldParams, config: SolverConfig):
-        self.mesh = mesh
-        self.p = params
+    def __init__(self, mesh, params, config: SolverConfig):
+        self.meshes, self.params = _members(mesh, params)
         self.cfg = config
-        self.K = stiffness_matrix(mesh)
-        self.w = mesh.lumped
-        self.schur = SchurOperator(mesh, params)
-        if mesh.h > max_mesh_size(params.epsilon) * (1.0 + 1e-12):
-            warnings.warn(
-                f"mesh size h={mesh.h:g} is too coarse for epsilon={params.epsilon:g}; "
-                f"the diffuse interface (width pi*eps) spans fewer than "
-                f"{INTERFACE_CELLS} cells ({INTERFACE_CELLS + 1} nodes)",
-                ResolutionWarning, stacklevel=2)
+        self.schur = SchurOperator(self.meshes, self.params)
+        self.slices = self.schur.slices
+        K = [stiffness_matrix(m) for m in self.meshes]   # each row keeps its entry order
+        self.K = K[0] if len(K) == 1 else sparse.block_diag(K, format="csr")
+        self.w = np.concatenate([m.lumped for m in self.meshes])
+        self.eps = np.concatenate([np.full(m.n_nodes, q.epsilon)
+                                   for m, q in zip(self.meshes, self.params)])
+        beta = self.params[0].beta   # constant factors, in the operand order of the residual
+        self._c_grad, self._c_well = beta * self.eps, (beta / self.eps) * self.w
+        for m, q in zip(self.meshes, self.params):
+            if m.h > max_mesh_size(q.epsilon) * (1.0 + 1e-12):
+                warnings.warn(
+                    f"mesh size h={m.h:g} is too coarse for epsilon={q.epsilon:g}; "
+                    f"the diffuse interface (width pi*eps) spans fewer than "
+                    f"{INTERFACE_CELLS} cells ({INTERFACE_CELLS + 1} nodes)",
+                    ResolutionWarning, stacklevel=2)
 
     # -- pieces -----------------------------------------------------------
 
     def source_nodal(self, phi: np.ndarray) -> np.ndarray:
-        return source_S(self.p.reaction, self.p.epsilon, phi)
+        return source_S(self.params[0].reaction, self.eps, phi)
 
     def initial_mu(self, phi: np.ndarray) -> np.ndarray:
         """mu solving the chemical-potential equation for a given phi."""
-        beta, eps = self.p.beta, self.p.epsilon
-        return beta * eps * (self.K @ phi) / self.w + (beta / eps) * dpsi(phi)
+        return (self._c_grad * (self.K @ phi) / self.w
+                + (self.params[0].beta / self.eps) * dpsi(phi))
 
     # -- Newton step ------------------------------------------------------
 
     def step(self, phi_old: np.ndarray, mu_old: np.ndarray, step_index: int = 0):
-        """Advance one step; returns (phi, mu, StepReport)."""
-        p, schur = self.p, self.schur
-        tau, w, K = self.cfg.tau, self.w, self.K
+        """Advance every member one step; returns (phi, mu, StepReport)."""
+        schur, w, K, w_tau = self.schur, self.w, self.K, self.w / self.cfg.tau
+        c_grad, c_well, mobility = self._c_grad, self._c_well, self.params[0].mobility
         # lumped quadrature of m(phi^n) grad mu . grad chi gives per-element
         # vertex-averaged mobility against piecewise-constant gradients; with
         # m+ = m- that is m- on every element, so Km is set on the first step only
-        if schur.S is None or p.mobility.m_plus != p.mobility.m_minus:
-            schur.set_mobility(mobility_m(p.mobility, element_means(self.mesh, phi_old)))
+        if schur.S is None or mobility.m_plus != mobility.m_minus:
+            means = [element_means(m, phi_old[s]) for m, s in zip(self.meshes, self.slices)]
+            schur.set_mobility(mobility_m(mobility, np.concatenate(means)))
         Km = schur.Km
-        svec = self.source_nodal(phi_old)
-        rhs_mass = w * (phi_old / tau + svec)
-        # the step's constant factors, in the operand order of the residual's terms
-        w_tau, c_grad, c_well = w / tau, p.beta * p.epsilon, (p.beta / p.epsilon) * w
+        rhs_mass = w * (phi_old / self.cfg.tau + self.source_nodal(phi_old))
 
-        phi = phi_old.copy()
-        mu = mu_old.copy()
-        residuals = []
-        converged = False
-        for _ in range(NEWTON_MAX + 1):
+        phi, mu = phi_old.copy(), mu_old.copy()
+        histories = [[] for _ in self.slices]
+        live = [True] * len(self.slices)
+        solves = 0
+        while True:
             r1 = w_tau * phi + Km @ mu - rhs_mass
             r2 = c_grad * (K @ phi) + c_well * dpsi(phi) - w * mu
-            res = math.hypot(math.sqrt(r1 @ r1), math.sqrt(r2 @ r2))
-            residuals.append(res)
-            if res < NEWTON_TOL:
-                converged = True
+            for i, s in enumerate(self.slices):
+                if live[i]:
+                    histories[i].append(math.hypot(math.sqrt(r1[s] @ r1[s]),
+                                                   math.sqrt(r2[s] @ r2[s])))
+                    live[i] = not histories[i][-1] < NEWTON_TOL
+            if not any(live):
                 break
-            if len(residuals) > NEWTON_MAX:
-                break
+            residuals = histories[live.index(True)]
+            if solves == NEWTON_MAX:
+                raise StepFailureError(
+                    f"Newton failed to reach {NEWTON_TOL:.1e} within "
+                    f"{NEWTON_MAX} iterations (last residual {residuals[-1]:.3e})",
+                    step=step_index, residuals=residuals)
             ddpsi_phi = ddpsi(phi)
             schur.assemble(ddpsi_phi, w_tau)
+            nodes = np.repeat(live, [s.stop - s.start for s in self.slices])
             try:
-                dphi = schur.solve(-(r1 + Km @ (r2 / w)))
+                dphi = schur.solve(np.where(nodes, -(r1 + Km @ (r2 / w)), 0.0))
             except NumericalError as exc:
                 raise StepFailureError(str(exc), step=step_index, residuals=residuals) from exc
+            solves += 1
             dmu = (c_grad * (K @ dphi) + c_well * ddpsi_phi * dphi + r2) / w
-            phi = phi + dphi
-            mu = mu + dmu
-        if not converged:
-            raise StepFailureError(
-                f"Newton failed to reach {NEWTON_TOL:.1e} within "
-                f"{NEWTON_MAX} iterations (last residual {residuals[-1]:.3e})",
-                step=step_index, residuals=residuals)
-        return phi, mu, StepReport(iterations=len(residuals) - 1, residuals=residuals)
+            phi = np.where(nodes, phi + dphi, phi)
+            mu = np.where(nodes, mu + dmu, mu)
+        return phi, mu, StepReport(iterations=solves, histories=histories)
 
 
 def free_energy(field: NodalField, p: PhaseFieldParams) -> float:
@@ -401,7 +482,7 @@ class RunRecord:
     warnings: list[str] = field(default_factory=list)
     state: SimState | None = None
     wall_seconds: float = 0.0
-    solver_counts: dict[str, int] = field(default_factory=dict)   # SchurOperator.counts
+    solver_counts: dict[str, int] = field(default_factory=dict)   # the joint SchurOperator.counts
 
 
 def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
@@ -413,99 +494,126 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
     is an :class:`activech.output.OutputOptions`; when it names a
     directory, the diagnostics CSV, VTK snapshots, a final checkpoint and
     the run manifest are written there.  Deterministic: identical inputs
-    give identical records and files.
+    give identical records and files.  The one-member case of
+    :func:`run_members`.
+    """
+    return run_members([(p, mesh_spec, init_spec)], cfg, t_end, outputs)[0]
+
+
+class _Series:
+    """One member's diagnostic time series."""
+
+    def __init__(self, p: PhaseFieldParams, mesh: StructuredMesh, opts):
+        self.p, self.mesh, self.opts = p, mesh, opts
+        self.times, self.mass, self.energy, self.q_h, self.mode_rows = [], [], [], [], []
+        self.newton_iters, self.warnings, self.max_abs_phi, self.prev_q = [], [], 0.0, None
+
+    def record(self, t: float, phi: np.ndarray):
+        from .analysis import mode_amplitudes, track_interface
+        from .errors import MeasurementError, TrackingError
+
+        fld, opts = NodalField(phi, self.mesh), self.opts
+        self.times.append(t)
+        self.mass.append(float(np.dot(self.mesh.lumped, phi)))
+        self.energy.append(free_energy(fld, self.p))
+        q_now = math.nan
+        if opts.track_interface:
+            try:
+                q_now = self.prev_q = track_interface(fld, line_x2=opts.track_line,
+                                                      prev=self.prev_q)
+            except TrackingError as exc:
+                _warn_once(self.warnings, f"interface tracking: {exc}")
+        self.q_h.append(q_now)
+        if opts.modes_lmax is not None:
+            try:
+                self.mode_rows.append(mode_amplitudes(fld, opts.modes_lmax))
+            except MeasurementError as exc:  # a lost front must not kill the run
+                self.mode_rows.append(np.full(opts.modes_lmax + 1, np.nan))
+                _warn_once(self.warnings, f"mode extraction: {exc}")
+        self.max_abs_phi = max(self.max_abs_phi, float(np.max(np.abs(phi))))
+
+
+def run_members(members, cfg: SolverConfig, t_end: float, outputs=None) -> list[RunRecord]:
+    """Advance several runs in lock-step (see :class:`Stepper`); one record each.
+
+    Each member is a (params, mesh_spec, init_spec) triple as
+    :func:`run_simulation` takes them.  The members share ``cfg``, ``t_end``
+    and ``outputs``, whose files are written for a single member only.  A
+    numerical failure of any member fails the run.
     """
     from . import output as outmod
-    from .analysis import mode_amplitudes, track_interface
-    from .errors import MeasurementError, TrackingError
 
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
     opts = outputs if outputs is not None else outmod.OutputOptions()
-    mesh = mesh_spec if isinstance(mesh_spec, StructuredMesh) else build_mesh(*mesh_spec)
-    if opts.track_interface and mesh.dim == 2 and not 0.0 <= opts.track_line <= mesh.lengths[1]:
-        raise ConfigurationError(f"track_line={opts.track_line} outside [0, {mesh.lengths[1]}]")
-    if isinstance(init_spec, NodalField):
-        phi0 = init_spec
-        if phi0.mesh is not mesh:
-            raise ConfigurationError("initial field lives on a different mesh")
-    else:
-        kind, init_params = init_spec
-        phi0 = init_field(mesh, kind, init_params, p.epsilon)
+    if opts.directory and len(members) != 1:
+        raise ConfigurationError("run files are written for a single member only")
+    series, phi0s = [], []
+    for p, mesh_spec, init_spec in members:
+        mesh = mesh_spec if isinstance(mesh_spec, StructuredMesh) else build_mesh(*mesh_spec)
+        if opts.track_interface and mesh.dim == 2 and not 0.0 <= opts.track_line <= mesh.lengths[1]:
+            raise ConfigurationError(
+                f"track_line={opts.track_line} outside [0, {mesh.lengths[1]}]")
+        if isinstance(init_spec, NodalField):
+            phi0 = init_spec
+            if phi0.mesh is not mesh:
+                raise ConfigurationError("initial field lives on a different mesh")
+        else:
+            kind, init_params = init_spec
+            phi0 = init_field(mesh, kind, init_params, p.epsilon)
+        series.append(_Series(p, mesh, opts))
+        phi0s.append(phi0.values)
 
     n_steps = int(round(t_end / cfg.tau))
     if abs(n_steps * cfg.tau - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigurationError(
             f"t_end={t_end} is not an integer multiple of tau={cfg.tau}")
 
-    stepper = Stepper(mesh, p, cfg)
-    phi = phi0.values.copy()
+    stepper = Stepper([run.mesh for run in series], [run.p for run in series], cfg)
+    phi = np.concatenate(phi0s)
     mu = stepper.initial_mu(phi)
-    writer = outmod.RunWriter(opts, mesh) if opts.directory else None
-
-    times, mass, energy, q_trace, mode_rows = [], [], [], [], []
-    newton_iters: list[int] = []
-    run_warnings: list[str] = []
-    max_abs_phi = 0.0
-    prev_q = None
+    writer = outmod.RunWriter(opts, series[0].mesh) if opts.directory else None
     t0 = time.perf_counter()
 
-    def record(step, t, phi_vec, mu_vec):
-        nonlocal prev_q, max_abs_phi
-        fld = NodalField(phi_vec, mesh)
-        times.append(t)
-        mass.append(float(np.dot(mesh.lumped, phi_vec)))
-        energy.append(free_energy(fld, p))
-        q_now = math.nan
-        if opts.track_interface:
-            try:
-                q_now = track_interface(fld, line_x2=opts.track_line, prev=prev_q)
-                prev_q = q_now
-            except TrackingError as exc:
-                _warn_once(run_warnings, f"interface tracking: {exc}")
-        q_trace.append(q_now)
-        if opts.modes_lmax is not None:
-            try:
-                mode_rows.append(mode_amplitudes(fld, opts.modes_lmax))
-            except MeasurementError as exc:  # a lost front must not kill the run
-                mode_rows.append(np.full(opts.modes_lmax + 1, np.nan))
-                _warn_once(run_warnings, f"mode extraction: {exc}")
-        max_abs_phi = max(max_abs_phi, float(np.max(np.abs(phi_vec))))
+    def record(step, t):
+        for run, s in zip(series, stepper.slices):
+            run.record(t, phi[s])
         if writer:
-            writer.snapshot(step, t, phi_vec, mu_vec)
+            writer.snapshot(step, t, phi, mu)
 
     if writer:
-        writer.start_manifest(run_warnings)
+        writer.start_manifest(series[0].warnings)
     try:
-        record(0, 0.0, phi, mu)
+        record(0, 0.0)
         for n in range(1, n_steps + 1):
             phi, mu, report = stepper.step(phi, mu, step_index=n)
-            newton_iters.append(report.iterations)
+            for run, history in zip(series, report.histories):
+                run.newton_iters.append(len(history) - 1)
             if n % opts.stride == 0 or n == n_steps:
-                record(n, n * cfg.tau, phi, mu)
-        if max_abs_phi > PHI_BOUND_WARN:
-            _warn_once(run_warnings,
-                       f"phase field left [-{PHI_BOUND_WARN}, {PHI_BOUND_WARN}]: "
-                       f"max |phi| = {max_abs_phi:.4f}")
-            warnings.warn(run_warnings[-1], UserWarning, stacklevel=2)
+                record(n, n * cfg.tau)
+        for run in series:
+            if run.max_abs_phi > PHI_BOUND_WARN:
+                _warn_once(run.warnings,
+                           f"phase field left [-{PHI_BOUND_WARN}, {PHI_BOUND_WARN}]: "
+                           f"max |phi| = {run.max_abs_phi:.4f}")
+                warnings.warn(run.warnings[-1], UserWarning, stacklevel=3)
     except Exception as exc:
         if writer:
             writer.abort(exc)
         raise
 
-    state = SimState(phi=NodalField(phi, mesh), mu=NodalField(mu, mesh),
-                     t=n_steps * cfg.tau, step=n_steps)
-    rec = RunRecord(
-        times=np.asarray(times), mass=np.asarray(mass), energy=np.asarray(energy),
-        q_h=np.asarray(q_trace),
-        mode_amps=np.asarray(mode_rows) if mode_rows else None,
-        newton_iters=newton_iters, max_abs_phi=max_abs_phi,
-        warnings=run_warnings, state=state,
+    records = [RunRecord(
+        times=np.asarray(run.times), mass=np.asarray(run.mass), energy=np.asarray(run.energy),
+        q_h=np.asarray(run.q_h),
+        mode_amps=np.asarray(run.mode_rows) if run.mode_rows else None,
+        newton_iters=run.newton_iters, max_abs_phi=run.max_abs_phi, warnings=run.warnings,
+        state=SimState(phi=NodalField(phi[s], run.mesh), mu=NodalField(mu[s], run.mesh),
+                       t=n_steps * cfg.tau, step=n_steps),
         wall_seconds=time.perf_counter() - t0, solver_counts=dict(stepper.schur.counts),
-    )
+    ) for run, s in zip(series, stepper.slices)]
     if writer:
-        writer.finish(rec)
-    return rec
+        writer.finish(records[0])
+    return records
 
 
 def _warn_once(sink: list[str], message: str):

@@ -1,5 +1,6 @@
 """Tests for interface tracking, mode extraction, growth fits and EOC."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -349,7 +350,7 @@ def test_convergence_study_rejects_bad_epsilon_before_any_rung(quartic, monkeypa
     def no_rung(*args, **kwargs):
         raise AssertionError("a rung ran")
 
-    monkeypatch.setattr("activech.analysis.run_simulation", no_rung)
+    monkeypatch.setattr("activech.analysis.run_members", no_rung)
     reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
     p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
                             ac.MobilitySpec(1.0, 1.0))
@@ -383,6 +384,51 @@ def test_convergence_study_annotates_failures(quartic, monkeypatch):
     table = ac.convergence_study(p, [1 / (4 * math.pi)], 0.01, q0=0.3, dim=1)
     assert math.isnan(table.rows[0].error)
     assert "StepFailure" in table.rows[0].note
+
+
+def _solo_rung_error(p, eps, t_end, dim=1):
+    """Error of one rung run alone through run_simulation, as the ladder measures it."""
+    cfg = ac.SolverConfig()
+    record = ac.run_simulation(
+        dataclasses.replace(p, epsilon=eps), (dim, (1.0, 1.0)[:dim], ac.auto_mesh_size(eps)),
+        ("flat_front", {"q0": 0.3}), cfg, t_end,
+        outputs=ac.OutputOptions(stride=int(round(t_end / cfg.tau))))
+    return abs(ac.reference_front_position(p, 1.0, 1.0, 0.3, t_end) - float(record.q_h[-1]))
+
+
+def test_convergence_study_one_failed_rung_leaves_the_others_alone(quartic, monkeypatch):
+    reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
+    p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
+                            ac.MobilitySpec(1.0, 1.0))
+    epsilons = [1 / (4 * math.pi), 1 / (8 * math.pi)]
+    solo = _solo_rung_error(p, epsilons[1], 0.01)
+    real_step = solver.Stepper.step
+
+    def step(self, phi, mu, step_index=0):
+        if any(q.epsilon == epsilons[0] for q in self.params):
+            raise ac.StepFailureError("sabotaged rung", step=step_index)
+        return real_step(self, phi, mu, step_index)
+
+    monkeypatch.setattr(solver.Stepper, "step", step)
+    table = ac.convergence_study(p, epsilons, 0.01, q0=0.3, dim=1)
+    assert math.isnan(table.rows[0].error)
+    assert table.rows[0].note == "StepFailureError: sabotaged rung"
+    assert table.rows[1].note == ""
+    assert table.rows[1].error == solo   # bit for bit
+
+
+@pytest.mark.parametrize("dim,rtol", [(1, 0.0), (2, 1e-9)])
+def test_convergence_study_rungs_match_their_own_runs(quartic, dim, rtol):
+    # in 1D the lock-step rungs are bit-identical to serial ones; in 2D a stale
+    # float32 factor is dropped for both rungs at once, so they agree to the solve
+    reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
+    p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,
+                            ac.MobilitySpec(1.0, 1.0))
+    epsilons, t_end = [1 / (4 * math.pi), 1 / (8 * math.pi)], 0.005
+    table = ac.convergence_study(p, epsilons, t_end, q0=0.3, dim=dim)
+    for row, eps in zip(table.rows, epsilons):
+        solo = _solo_rung_error(p, eps, t_end, dim)
+        assert row.note == "" and abs(row.error - solo) <= rtol * solo
 
 
 def test_convergence_study_annotates_tracking_failures(quartic, monkeypatch):

@@ -266,6 +266,17 @@ def test_sharp_ode_out_in_a_missing_directory_exit_code(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+def test_sharp_ode_out_on_an_existing_directory_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["sharp-ode", *SHARP_FLAGS, "--q0", "0.3", "--t-end", "0.01",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flags", [["--Lt", "0"], ["--Lt", "nan"], ["--lmax", "-3"]])
 def test_stability_invalid_input_exit_code(capsys, flags):
     assert main(["stability", *SHARP_FLAGS, *flags]) == 1
@@ -449,6 +460,18 @@ def test_modes_warns_without_takeoff(tmp_path, capsys):
     assert "not the linear regime" in captured.err
     lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
     assert lines[0] == "t,A0,A1,A2,A3,A4"
+
+
+def test_modes_without_a_measurable_front_reports_the_mode_extraction_failure(tmp_path, capsys):
+    # a disk crosses no lattice row exactly once, so every mode row is NaN
+    body = (MODES_CFG.replace("t_end = 0.02", "t_end = 0.005")
+            .replace("kind = flat_front\nq0 = 0.5\nmodes = 2\namplitudes = 0.02",
+                     "kind = disk\ncenter = 0.5, 0.5\nr0 = 0.25"))
+    code = main(["modes", "--config", write_cfg(tmp_path, body), "--out", str(tmp_path / "m")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: mode extraction: rows without a unique")
+    assert "dominant" not in err and "take-off" not in err and "growth-rate" not in err
 
 
 def test_modes_rejects_zero_rate_before_simulating(tmp_path, capsys):

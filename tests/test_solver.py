@@ -192,7 +192,7 @@ def test_newton_quadratic_convergence(quartic, monkeypatch):
     phi = ac.init_field(mesh, "flat_front", {"q0": 0.3}, p.epsilon).values.copy()
     mu = stepper.initial_mu(phi)
     _, _, report = stepper.step(phi, mu, 0)
-    res = report.residuals
+    res = report.histories[0]
     quadratic_checked = 0
     for r_k, r_next in zip(res, res[1:]):
         # below ~1e-13 the residual evaluation itself is rounding-limited
@@ -282,8 +282,9 @@ def test_schur_assembly_is_bit_identical_to_the_band_assembly(quartic, dim, leng
         op.set_mobility(coeff)
         _, km = stencil_bands(mesh, coeff)
         km_w = solver._band_product(offs, km, (0,), (1.0 / mesh.lumped)[None], offs)
-        base = p.beta * p.epsilon * solver._band_product(offs, km_w, offs, k, op._offsets)
-        diag, km_rows = op._offsets.index(0), [op._offsets.index(q) for q in offs]
+        block = op._blocks[0]
+        base = p.beta * p.epsilon * solver._band_product(offs, km_w, offs, k, block.offsets)
+        diag, km_rows = block.offsets.index(0), [block.offsets.index(q) for q in offs]
         for tau in (1e-3, 0.5):
             ddpsi = rng.uniform(-2.0, 2.0, mesh.n_nodes)
             vals = base.copy()
@@ -291,7 +292,7 @@ def test_schur_assembly_is_bit_identical_to_the_band_assembly(quartic, dim, leng
             vals[km_rows] += (p.beta / p.epsilon) * solver._band_product(
                 offs, km, (0,), ddpsi[None], offs)
             S = op.assemble(ddpsi, mesh.lumped / tau)
-            assert np.array_equal(S.data, vals.ravel()[op._gather])
+            assert np.array_equal(S.data, vals.ravel()[block.gather])
 
 
 def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
@@ -328,10 +329,10 @@ def test_step_builds_no_sparse_matrix_after_the_first(quartic, monkeypatch):
 
 def _reference_step(op, stepper, phi_old, mu_old):
     """Stepper.step's Newton loop with each factor formed where it is used, on operator ``op``."""
-    p, tau, w, K = stepper.p, stepper.cfg.tau, stepper.w, stepper.K
+    p, tau, w, K = stepper.params[0], stepper.cfg.tau, stepper.w, stepper.K
     beta, eps = p.beta, p.epsilon
     Km = op.set_mobility(
-        np.asarray(ac.mobility_m(p.mobility, element_means(stepper.mesh, phi_old))))
+        np.asarray(ac.mobility_m(p.mobility, element_means(stepper.meshes[0], phi_old))))
     rhs_mass = w * (phi_old / tau + stepper.source_nodal(phi_old))
     phi, mu, residuals = phi_old.copy(), mu_old.copy(), []
     while True:
@@ -362,8 +363,72 @@ def test_step_is_bit_identical_to_the_reference_newton_loop(quartic, dim, m_plus
         phi, mu, report = stepper.step(phi, mu, n)
         ref_phi, ref_mu, ref_residuals = _reference_step(op, stepper, ref_phi, ref_mu)
         assert np.array_equal(phi, ref_phi) and np.array_equal(mu, ref_mu)
-        assert report.residuals == ref_residuals
+        assert report.histories[0] == ref_residuals
     assert stepper.schur.counts == op.counts
+
+
+def test_lock_step_members_are_bit_identical_to_their_own_steps(quartic):
+    # 1D members of different sizes, epsilons and fields: each keeps its own iterates
+    # and Newton count, and the joint step solves as often as its slowest member
+    cases = [(make_params(quartic, epsilon=1 / (4 * math.pi)), ac.build_mesh(1, (1.0,), 1 / 32),
+              ("flat_front", {"q0": 0.3})),
+             (make_params(quartic, epsilon=1 / (8 * math.pi)), ac.build_mesh(1, (1.0,), 1 / 64),
+              ("random_spinodal", {"bound": 0.05, "seed": 2}))]
+    joint = Stepper([m for _, m, _ in cases], [p for p, _, _ in cases], ac.SolverConfig())
+    alone = [Stepper(m, p, ac.SolverConfig()) for p, m, _ in cases]
+    fields = []
+    for stepper, (p, m, (kind, spec)) in zip(alone, cases):
+        phi = ac.init_field(m, kind, spec, p.epsilon).values
+        fields.append((phi, stepper.initial_mu(phi)))
+    phi, mu = (np.concatenate(v) for v in zip(*fields))
+    assert np.array_equal(mu, joint.initial_mu(phi))
+    unequal_counts = 0
+    for n in range(1, 6):
+        phi, mu, report = joint.step(phi, mu, n)
+        solo = [stepper.step(*f, n) for stepper, f in zip(alone, fields)]
+        fields = [(a, b) for a, b, _ in solo]
+        for s, (a, b, rep), history in zip(joint.slices, solo, report.histories):
+            assert np.array_equal(phi[s], a) and np.array_equal(mu[s], b)
+            assert history == rep.histories[0]
+        assert report.iterations == max(rep.iterations for *_, rep in solo)
+        unequal_counts += len({rep.iterations for *_, rep in solo}) > 1
+    assert unequal_counts >= 1   # a converged member was frozen while the other iterated
+    counts = joint.schur.counts
+    assert counts["factor_float64"] == counts["backsolve"] < sum(
+        stepper.schur.counts["backsolve"] for stepper in alone)
+
+
+def test_joint_solve_stops_each_member_at_its_own_target(quartic):
+    # member 1 is ill-conditioned (a large tau on its diagonal) and its right-hand
+    # side is 1e-6 of member 0's: a norm over both members stops after one sweep,
+    # with member 1's residual still three times its own target
+    p = make_params(quartic)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 16)
+    op = solver.SchurOperator([mesh, mesh], [p, p])
+    op.set_mobility(np.ones(2 * mesh.n_elements))
+    S = op.assemble(np.full(2 * mesh.n_nodes, 2.0),
+                    np.concatenate([mesh.lumped / 1e-3, mesh.lumped / 10.0]))
+    rng = np.random.default_rng(6)
+    rhs = np.concatenate([rng.standard_normal(mesh.n_nodes),
+                          1e-6 * rng.standard_normal(mesh.n_nodes)])
+    x = op.solve(rhs)
+    for s in op.slices:
+        assert np.linalg.norm(rhs[s] - (S @ x)[s]) <= max(
+            solver.LINEAR_TOL * np.linalg.norm(rhs[s]), solver.NEWTON_TOL / 10)
+
+
+def test_members_must_share_the_physics_and_write_no_files_together(quartic, tmp_path):
+    mesh = ac.build_mesh(1, (1.0,), 1 / 32)
+    with pytest.raises(ac.ConfigurationError, match="must share beta"):
+        Stepper([mesh, mesh], [make_params(quartic), make_params(quartic, beta=0.2)],
+                ac.SolverConfig())
+    with pytest.raises(ac.ConfigurationError, match="one mesh each"):
+        solver.SchurOperator([mesh], [make_params(quartic)] * 2)
+    member = (make_params(quartic), mesh, ("flat_front", {"q0": 0.3}))
+    with pytest.raises(ac.ConfigurationError, match="single member"):
+        solver.run_members([member, member], ac.SolverConfig(), 0.01,
+                           ac.OutputOptions(directory=str(tmp_path / "run")))
+    assert not (tmp_path / "run").exists()
 
 
 def _singular_schur_solve(quartic, monkeypatch, dim, lengths):
@@ -397,9 +462,9 @@ def test_nan_right_hand_side_raises_numerical_error(quartic, dim, lengths, backs
     # a NaN residual is a stall, never a converged solve, and it ends refinement at
     # once; in 2D the float32 factor's NaN escalates to float64 once, as a stall does
     op = solver.SchurOperator(ac.build_mesh(dim, lengths, 1 / 8), make_params(quartic))
-    op.set_mobility(np.ones(op.mesh.n_elements))
-    op.assemble(np.full(op.mesh.n_nodes, 2.0), op.mesh.lumped / 1e-3)
-    rhs = np.ones(op.mesh.n_nodes)
+    op.set_mobility(np.ones(op.meshes[0].n_elements))
+    op.assemble(np.full(op.meshes[0].n_nodes, 2.0), op.meshes[0].lumped / 1e-3)
+    rhs = np.ones(op.meshes[0].n_nodes)
     rhs[3] = np.nan
     with pytest.raises(ac.NumericalError, match="relative residual nan"):
         op.solve(rhs)
@@ -445,9 +510,9 @@ def test_stale_factor_that_would_miss_the_budget_is_dropped_early(quartic):
     # against the factor of S/1.2 the residual contracts by 0.2 per sweep: reaching
     # LINEAR_TOL takes 15 back-solves, and the budget is 13
     op = solver.SchurOperator(ac.build_mesh(2, (1.0, 1.0), 1 / 16), make_params(quartic))
-    op.set_mobility(np.ones(op.mesh.n_elements))
-    S = op.assemble(np.full(op.mesh.n_nodes, 2.0), op.mesh.lumped / 1e-3)
-    rhs = np.random.default_rng(4).standard_normal(op.mesh.n_nodes)
+    op.set_mobility(np.ones(op.meshes[0].n_elements))
+    S = op.assemble(np.full(op.meshes[0].n_nodes, 2.0), op.meshes[0].lumped / 1e-3)
+    rhs = np.random.default_rng(4).standard_normal(op.meshes[0].n_nodes)
     op.solve(rhs)
     S.data *= 1.2
     start, stale = op.counts["backsolve"], []
@@ -498,7 +563,7 @@ def test_schur_lu_ordering_limits_fill(quartic, monkeypatch):
                         {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}, eps).values
     _, _, report = stepper.step(phi, stepper.initial_mu(phi))
     assert fills and fills[0] < 500_000
-    assert report.residuals[-1] < solver.NEWTON_TOL
+    assert report.histories[0][-1] < solver.NEWTON_TOL
 
 
 def _spy_factors(monkeypatch):
@@ -537,7 +602,7 @@ def test_2d_factors_under_a_fill_reducing_order(quartic, monkeypatch):
     stepper.step(phi, mu, 1)
     assert factors
     for lu in factors:
-        assert not np.array_equal(lu.perm_c, np.arange(stepper.mesh.n_nodes))
+        assert not np.array_equal(lu.perm_c, np.arange(stepper.meshes[0].n_nodes))
 
 
 def _front_stepper(quartic, h, tau=1e-3):
@@ -595,7 +660,7 @@ def test_1d_factors_fresh_in_float64_on_every_newton_iteration(quartic):
 def test_1d_operator_holds_no_float32_copy(quartic):
     for dim, lengths, has_float32 in ((1, (1.0,), False), (2, (1.0, 1.0), True)):
         op = solver.SchurOperator(ac.build_mesh(dim, lengths, 1 / 16), make_params(quartic))
-        op.set_mobility(np.ones(op.mesh.n_elements))
+        op.set_mobility(np.ones(op.meshes[0].n_elements))
         dtypes = {getattr(value, "dtype", None) for value in vars(op).values()}
         assert (np.dtype(np.float32) in dtypes) == has_float32
 
@@ -673,7 +738,7 @@ def test_schur_factor_is_single_precision(quartic, monkeypatch):
     phi, mu, report = stepper.step(phi, mu, 1)
     assert dtypes and set(dtypes) == {np.float32}
     assert phi.dtype == mu.dtype == np.float64
-    assert report.residuals[-1] < solver.NEWTON_TOL
+    assert report.histories[0][-1] < solver.NEWTON_TOL
 
 
 def test_float32_stall_escalates_to_float64_for_good(quartic, monkeypatch):
@@ -683,7 +748,7 @@ def test_float32_stall_escalates_to_float64_for_good(quartic, monkeypatch):
     stepper, phi, mu = _front_stepper(quartic, 2.0 ** -6, tau=100.0)
     for n in range(1, 4):
         phi, mu, report = stepper.step(phi, mu, n)
-        assert report.residuals[-1] < solver.NEWTON_TOL
+        assert report.histories[0][-1] < solver.NEWTON_TOL
     first64 = dtypes.index(np.float64)
     assert first64 >= 1 and set(dtypes[:first64]) == {np.float32}
     assert set(dtypes[first64:]) == {np.float64}
