@@ -35,8 +35,6 @@ from .planar import (
     PlanarTrajectory,
     StabilityRow,
     amplification,
-    amplification_normalized,
-    beta_crit,
     enumerate_modes,
     find_stationary,
     integrate_q,

@@ -38,7 +38,6 @@ from .planar import (
     ModeIndex,
     _front_velocity,
     amplification,
-    beta_crit,
     enumerate_modes,
     find_stationary,
     integrate_q,
@@ -223,9 +222,11 @@ def _cmd_modes(args) -> int:
     write_table(out_dir / "modes.csv", ["t"] + [f"A{l}" for l in range(l_max + 1)],
                 np.column_stack([record.times, record.mode_amps]))
     dominant = 1 + int(np.argmax(np.abs(record.mode_amps[-1, 1:])))
-    q_for_rate = record.q_h[0] if math.isfinite(record.q_h[0]) else cfg.lengths[0] / 2
-    predicted = amplification(sharp, cfg.params.beta, q_for_rate,
-                              ModeIndex.of(dominant)).growth_rate
+    # the linearization's base state is the mean height A0(0), not the
+    # tracking line's crossing, which includes the perturbation
+    mean_height = float(record.mode_amps[0, 0])
+    q_for_rate = mean_height if math.isfinite(mean_height) else cfg.lengths[0] / 2
+    row = amplification(sharp, cfg.params.beta, q_for_rate, ModeIndex.of(dominant))
     amps = np.abs(record.mode_amps[:, dominant])
     start, stop = growth_window(record.times, amps, cfg.lengths[1])
     if start == 0:
@@ -233,7 +234,8 @@ def _cmd_modes(args) -> int:
               f"whole run, not the linear regime", file=sys.stderr)
     fitted = fit_growth_rate(record.times[start:stop], amps[start:stop])
     print(f"dominant mode l={dominant}; fitted rate {fitted:.4g} "
-          f"vs predicted {predicted:.4g} "
+          f"vs predicted {row.growth_rate:.4g} at q={q_for_rate:.4g}, "
+          f"beta_crit={row.beta_crit:.4g} "
           f"(window t=[{record.times[start]:g}, {record.times[stop - 1]:g}])")
     print(f"wrote {out_dir / 'modes.csv'}")
     return 0
@@ -309,7 +311,7 @@ def _cmd_check(args) -> int:
     report("translational amplification", abs(row.factor - expected) < 1e-12,
            f"|diff|={abs(row.factor - expected):.2e}")
 
-    crit = beta_crit(1.0, 1.0, ModeIndex.of(2))
+    crit = amplification(sharp, 0.1, 0.5, ModeIndex.of(2)).beta_crit
     res = amplification(sharp, crit, 0.5, ModeIndex.of(2)).factor
     report("critical beta is an amplification root", abs(res) < 1e-10, f"|factor|={res:.2e}")
 

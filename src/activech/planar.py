@@ -2,7 +2,10 @@
 
 Closed-form chemical potentials on both sides of a flat front, the
 interface-position ODE, stationary-front root finding and the linear
-stability (transverse-mode amplification) analysis.
+stability (transverse-mode amplification) analysis after Mullins & Sekerka
+(1964, J. Appl. Phys. 35, 444).  For fixed sharp constants the amplification
+factor is affine in the surface coefficient beta, so each transverse mode has
+one critical beta in every setting, the root of that affine factor.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import GAMMA_QUARTIC, SharpParams
 
-_NORMALIZED_TOL = 1e-12
 #: Bisection for the stationary front stops once |H| falls below STATIONARY_TOL.
 STATIONARY_TOL = 1e-12
 
@@ -39,7 +41,14 @@ class ModeIndex:
 
 @dataclass(frozen=True)
 class StabilityRow:
-    """One mode's amplification data at a frozen front position."""
+    """One mode's amplification data at a frozen front position.
+
+    ``beta_crit`` is the beta at which ``factor`` vanishes: the mode grows
+    for beta below it and decays above it.  It is reported as computed, so a
+    root <= 0 means the mode decays at every admissible beta > 0.  It is
+    ``None`` for the translational mode l = 0, whose factor does not depend
+    on beta.
+    """
 
     mode: ModeIndex
     gamma_plus: float
@@ -206,23 +215,23 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
 # linear stability
 # ---------------------------------------------------------------------------
 
-def _is_normalized_setting(sharp: SharpParams, q: float) -> bool:
-    """S+ = -1, S- = m+- = rho+- = 1 with the front at its root L/2."""
-    return max(
-        abs(sharp.d_plus + 1.0), abs(sharp.d_minus - 1.0),
-        abs(sharp.lambda_plus - 1.0), abs(sharp.lambda_minus - 1.0),
-        abs(sharp.m_plus - 1.0), abs(sharp.m_minus - 1.0),
-        abs(q - 0.5 * sharp.length_L),
-    ) < _NORMALIZED_TOL
+def _cosh(x: float) -> float:
+    """cosh(x), saturating at inf where math.cosh raises OverflowError."""
+    try:
+        return math.cosh(x)
+    except OverflowError:
+        return math.inf
 
 
 def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) -> StabilityRow:
-    """Amplification factor of a transverse cosine perturbation.
+    """Amplification factor of a transverse cosine perturbation, and its root in beta.
 
     The perturbation amplitude satisfies 2 dY/dt = factor * Y, so the
     exponential growth rate to compare against measurements is factor / 2.
     The front may be non-stationary: the factor is evaluated with the front
-    frozen at ``q``.
+    frozen at ``q``.  The surface term enters linearly, so for fixed
+    ``sharp`` the factor is f0 - beta * s with s > 0 for every l_sq > 0, and
+    the row's ``beta_crit`` is f0 / s.
     """
     L, Lt = sharp.length_L, sharp.width_Lt
     if not (0.0 < q < L):
@@ -231,20 +240,28 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
     gamma_plus = math.sqrt(sharp.lambda_plus**2 + k_transverse)
     gamma_minus = math.sqrt(sharp.lambda_minus**2 + k_transverse)
     surf = 0.5 * GAMMA_QUARTIC * beta * k_transverse
-    num_plus = (sharp.d_plus * sharp.lambda_plus * math.tanh(sharp.lambda_plus * q) + surf)
-    num_minus = (sharp.d_minus * sharp.lambda_minus
-                 * math.tanh(sharp.lambda_minus * (L - q)) - surf)
-    a_plus = num_plus / math.cosh(gamma_plus * q)
-    a_minus = -num_minus / math.cosh(gamma_minus * (L - q))
-    # a*Gamma*sinh(...) written via tanh so huge transverse modes cannot overflow
-    factor = (
-        sharp.s_plus - sharp.s_minus
-        - sharp.m_plus * num_plus * gamma_plus * math.tanh(gamma_plus * q)
-        + sharp.m_minus * num_minus * gamma_minus * math.tanh(gamma_minus * (L - q))
-    )
+    bulk_plus = sharp.d_plus * sharp.lambda_plus * math.tanh(sharp.lambda_plus * q)
+    bulk_minus = sharp.d_minus * sharp.lambda_minus * math.tanh(sharp.lambda_minus * (L - q))
+    num_plus = bulk_plus + surf
+    num_minus = bulk_minus - surf
+    a_plus = num_plus / _cosh(gamma_plus * q)   # decays to 0 for huge modes
+    a_minus = -num_minus / _cosh(gamma_minus * (L - q))
+    tanh_plus = math.tanh(gamma_plus * q)
+    tanh_minus = math.tanh(gamma_minus * (L - q))
+
+    def factor_of(n_plus: float, n_minus: float) -> float:
+        # a*Gamma*sinh(...) written via tanh so huge transverse modes cannot overflow
+        return (sharp.s_plus - sharp.s_minus
+                - sharp.m_plus * n_plus * gamma_plus * tanh_plus
+                + sharp.m_minus * n_minus * gamma_minus * tanh_minus)
+
+    factor = factor_of(num_plus, num_minus)
     crit = None
-    if mode.l_sq > 0 and _is_normalized_setting(sharp, q):
-        crit = beta_crit(L, Lt, mode)
+    if mode.l_sq > 0:
+        # f0 from the bulk terms, not factor + beta * s, which cancels at high l
+        slope = 0.5 * GAMMA_QUARTIC * k_transverse * (
+            sharp.m_plus * gamma_plus * tanh_plus + sharp.m_minus * gamma_minus * tanh_minus)
+        crit = factor_of(bulk_plus, bulk_minus) / slope
     return StabilityRow(
         mode=mode,
         gamma_plus=gamma_plus,
@@ -254,28 +271,6 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
         factor=factor,
         beta_crit=crit,
     )
-
-
-def amplification_normalized(beta: float, Lbig: float, Lt: float, mode: ModeIndex) -> float:
-    """Specialized amplification factor for S+ = -1, S- = m+- = rho+- = 1, q = L/2."""
-    k_transverse = math.pi**2 * mode.l_sq / Lt**2
-    root = math.sqrt(1.0 + k_transverse)
-    return -2.0 + root * math.tanh(0.5 * Lbig * root) * (
-        2.0 * math.tanh(0.5 * Lbig) - GAMMA_QUARTIC * beta * k_transverse)
-
-
-def beta_crit(Lbig: float, Lt: float, mode: ModeIndex) -> float:
-    """Critical surface-energy coefficient below which the mode grows.
-
-    Only meaningful in the normalized setting; undefined for the
-    translational mode (the formula divides by |l_hat|^2).
-    """
-    if mode.l_sq == 0:
-        raise ValueError("beta_crit is undefined for the translational mode l=0")
-    k_transverse = math.pi**2 * mode.l_sq / Lt**2
-    root = math.sqrt(1.0 + k_transverse)
-    return (2.0 / GAMMA_QUARTIC) / k_transverse * (
-        math.tanh(0.5 * Lbig) - 1.0 / (root * math.tanh(0.5 * Lbig * root)))
 
 
 def enumerate_modes(d: int, max_lsq: int) -> list[ModeIndex]:

@@ -1,0 +1,71 @@
+"""Regenerate the sharp engine's golden outputs in tests/golden/.
+
+    PYTHONPATH=src python tests/make_golden.py
+
+Each entry of COMMANDS is a CLI call whose ``--out`` file is stored under its
+key; ``check.txt`` holds the PASS/FAIL names of ``activech check``, without
+its residuals, which are rounding-level and differ between platforms.
+``tests/test_golden.py`` reruns the same calls and compares values, not
+bytes.  Rerun this script only in a change that means to alter these
+results, and say so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from activech.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_PHYSICS = ["--beta", "0.1", "--splus", "-1", "--sminus", "1"]
+# a setting off the normalized one: its stationary front lies at q* = 2/3
+_OFF_NORMALIZED = ["--beta", "0.1", "--splus", "-1", "--sminus", "2",
+                   "--mplus", "2", "--mminus", "0.5", "--rc", "0.7"]
+
+COMMANDS = {
+    "si_table.csv": ["si-table", "--rc", "0.5,0.6,0.7,0.8,0.9,1", "--kplus", "0.1,0.5,1,2",
+                     "--kminus", "0.1,0.5,1,2", "--lcoef", "0,0.5"],
+    "stability_d3_lmax20.csv": ["stability", "-d", "3", "--lmax", "20", *_PHYSICS],
+    "stability_d2_lmax8_rc07.csv": ["stability", "-d", "2", "--lmax", "8", *_OFF_NORMALIZED],
+    "sharp_ode.csv": ["sharp-ode", *_PHYSICS, "--q0", "0.3", "--dt", "1e-4", "--t-end", "0.2"],
+}
+CHECK = "check.txt"
+
+
+def run_command(name: str, out: Path) -> int:
+    """Runs COMMANDS[name] with its table written to ``out``; returns the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main([*COMMANDS[name], "--out", str(out)])
+
+
+def check_names() -> tuple[int, str]:
+    """Exit code of ``activech check`` and its "[PASS] name" lines."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["check"])
+    lines = [line.split(":", 1)[0] for line in stdout.getvalue().splitlines()
+             if line.startswith(("[PASS]", "[FAIL]"))]
+    return code, "".join(f"{line}\n" for line in lines)
+
+
+def regenerate() -> int:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in COMMANDS:
+        if run_command(name, GOLDEN / name) != 0:
+            print(f"{name}: the command failed", file=sys.stderr)
+            return 1
+    code, names = check_names()
+    if code != 0:
+        print("activech check failed; its names are not stored", file=sys.stderr)
+        return 1
+    (GOLDEN / CHECK).write_text(names)
+    print(f"wrote {len(COMMANDS) + 1} files to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(regenerate())

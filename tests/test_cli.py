@@ -445,6 +445,18 @@ def test_modes_command(tmp_path, capsys):
     assert "dominant mode l=2" in out
     lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
     assert lines[0] == "t,A0,A1,A2,A3,A4,A5,A6"
+    # the prediction is taken at the mean height A0(0), not at the tracking
+    # line's crossing 0.52, which includes the amplitude 0.02
+    mean_height = float(lines[1].split(",")[1])
+    assert mean_height == pytest.approx(0.5, abs=1e-3)
+    sharp = ac.derive_sharp_params(
+        ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), ac.DoubleWellPotential.quartic(),
+                            ac.ReactionSpec(-8.0, 8.0, 0.2, 0.2), ac.MobilitySpec(1.0, 1.0)),
+        1.0, 1.0)
+    row = ac.amplification(sharp, 0.1, mean_height, ac.ModeIndex.of(2))
+    assert f"vs predicted {row.growth_rate:.4g} at q={mean_height:.4g}, " in out
+    assert f"{row.growth_rate:.3g}" == "3.64"
+    assert f"beta_crit={row.beta_crit:.4g} " in out
 
 
 def test_modes_warns_without_takeoff(tmp_path, capsys):

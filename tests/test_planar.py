@@ -12,13 +12,13 @@ SQRT2 = math.sqrt(2.0)
 
 
 def make_sharp(*, beta=0.1, s_plus=-1.0, s_minus=1.0, rho_plus=1.0, rho_minus=1.0,
-               m_plus=1.0, m_minus=1.0, l_coef=0.0, L=1.0, Lt=1.0, epsilon=0.01):
+               m_plus=1.0, m_minus=1.0, l_coef=0.0, r_c=1.0, L=1.0, Lt=1.0, epsilon=0.01):
     """Sharp constants from physical inputs, with K derived from rho."""
     pot = ac.DoubleWellPotential.quartic()
     reaction = ac.ReactionSpec(
         s_plus=s_plus, s_minus=s_minus,
         k_plus=2.0 * beta * rho_plus, k_minus=2.0 * beta * rho_minus,
-        l_coef=l_coef,
+        l_coef=l_coef, r_c=r_c,
     )
     p = ac.PhaseFieldParams(beta=beta, epsilon=epsilon, potential=pot,
                             reaction=reaction, mobility=ac.MobilitySpec(m_plus, m_minus))
@@ -270,6 +270,22 @@ def test_integrate_stops_stepping_at_a_fixed_point(symmetric, monkeypatch):
 # linear stability
 # ---------------------------------------------------------------------------
 
+def _amplification_normalized(beta, Lbig, Lt, mode):
+    """Closed-form factor for S+ = -1, S- = m+- = rho+- = 1 and q = L/2."""
+    k_transverse = math.pi**2 * mode.l_sq / Lt**2
+    root = math.sqrt(1.0 + k_transverse)
+    return -2.0 + root * math.tanh(0.5 * Lbig * root) * (
+        2.0 * math.tanh(0.5 * Lbig) - ac.GAMMA_QUARTIC * beta * k_transverse)
+
+
+def _beta_crit_normalized(Lbig, Lt, mode):
+    """Closed-form root in beta of the normalized factor, for l_sq > 0."""
+    k_transverse = math.pi**2 * mode.l_sq / Lt**2
+    root = math.sqrt(1.0 + k_transverse)
+    return (2.0 / ac.GAMMA_QUARTIC) / k_transverse * (
+        math.tanh(0.5 * Lbig) - 1.0 / (root * math.tanh(0.5 * Lbig * root)))
+
+
 def test_amplification_translational(symmetric):
     row = ac.amplification(symmetric, 0.1, 0.5, ac.ModeIndex.of(0))
     assert row.factor == pytest.approx(-2.0 / math.cosh(0.5) ** 2, abs=1e-14)
@@ -283,7 +299,7 @@ def test_amplification_matches_normalized_formula(L, Lt):
     for l2 in range(7):
         mode = ac.ModeIndex.of(l2)
         row = ac.amplification(sharp, beta, L / 2, mode)
-        expected = ac.amplification_normalized(beta, L, Lt, mode)
+        expected = _amplification_normalized(beta, L, Lt, mode)
         assert row.factor == pytest.approx(expected, abs=1e-12)
 
 
@@ -327,6 +343,14 @@ def test_amplification_decays_for_large_modes(symmetric):
     assert np.all(np.diff(tail) < 0.0)
 
 
+def test_amplification_of_a_huge_mode_does_not_overflow(symmetric):
+    # cosh(Gamma q) overflows a float beyond Gamma q = 710.5, here Gamma q = 785
+    row = ac.amplification(symmetric, 0.1, 0.5, ac.ModeIndex.of(500))
+    assert row.a_plus == 0.0 and row.a_minus == 0.0
+    assert math.isfinite(row.factor) and row.factor < 0.0
+    assert math.isfinite(row.beta_crit) and row.beta_crit > 0.0
+
+
 def test_amplification_preconditions(symmetric):
     with pytest.raises(ac.ConfigurationError):
         ac.amplification(symmetric, 0.1, 1.5, ac.ModeIndex.of(1))
@@ -342,29 +366,66 @@ def test_amplification_preconditions(symmetric):
 def test_beta_crit_is_amplification_root(symmetric):
     for l2 in range(1, 7):
         mode = ac.ModeIndex.of(l2)
-        crit = ac.beta_crit(1.0, 1.0, mode)
+        crit = ac.amplification(symmetric, 0.1, 0.5, mode).beta_crit
         row = ac.amplification(symmetric, crit, 0.5, mode)
         assert abs(row.factor) < 1e-10
-        assert row.beta_crit == pytest.approx(crit, abs=0)
+        assert row.beta_crit == crit   # the root does not depend on the beta it is read at
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_beta_crit_matches_the_normalized_closed_form(symmetric, d):
+    modes = ac.mode_representatives(ac.enumerate_modes(d, 400))
+    assert len(modes) == (21 if d == 2 else 146)
+    for mode in modes[1:]:
+        crit = ac.amplification(symmetric, 0.1, 0.5, mode).beta_crit
+        assert crit == pytest.approx(_beta_crit_normalized(1.0, 1.0, mode), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("setting, q", [
+    # r_c = 0.7, m+ = 2, m- = 1/2, S- = 2 at its stationary front q* = 2/3
+    ({"r_c": 0.7, "m_plus": 2.0, "m_minus": 0.5, "s_minus": 2.0}, None),
+    ({}, 0.3),   # the normalized physics with the front off its root
+], ids=["rc07-at-q-star", "normalized-at-q0.3"])
+def test_beta_crit_is_a_root_off_the_normalized_setting(setting, q):
+    sharp = make_sharp(**setting)
+    if q is None:
+        q = ac.find_stationary(sharp)
+        assert q == pytest.approx(2.0 / 3.0, abs=1e-3)
+    for l2 in range(1, 9):
+        mode = ac.ModeIndex.of(l2)
+        f0 = ac.amplification(sharp, 0.0, q, mode).factor
+        crit = ac.amplification(sharp, 0.1, q, mode).beta_crit
+        assert crit is not None and crit > 0.0
+        assert abs(ac.amplification(sharp, crit, q, mode).factor) <= 1e-12 * abs(f0)
+
+
+def test_beta_crit_is_reported_when_it_is_negative():
+    # S+ = 1, S- = -1 puts the front at q* = 1/2, where every transverse mode
+    # decays at any beta > 0: the root is negative and reported as it is
+    sharp = make_sharp(s_plus=1.0, s_minus=-1.0)
+    assert ac.find_stationary(sharp) == pytest.approx(0.5, abs=1e-12)
+    for l2 in range(1, 4):
+        mode = ac.ModeIndex.of(l2)
+        crit = ac.amplification(sharp, 0.1, 0.5, mode).beta_crit
+        assert crit < 0.0
+        assert abs(ac.amplification(sharp, crit, 0.5, mode).factor) < 1e-12
+        for beta in (1e-3, 0.1, 1.0):
+            assert ac.amplification(sharp, beta, 0.5, mode).factor < 0.0
 
 
 def test_beta_crit_sign_change(symmetric):
     mode = ac.ModeIndex.of(2)
-    crit = ac.beta_crit(1.0, 1.0, mode)
+    crit = ac.amplification(symmetric, 0.1, 0.5, mode).beta_crit
     assert ac.amplification(symmetric, 0.9 * crit, 0.5, mode).factor > 0
     assert ac.amplification(symmetric, 1.1 * crit, 0.5, mode).factor < 0
 
 
-def test_beta_crit_large_domain_limit(symmetric):
+def test_beta_crit_large_domain_limit():
     mode = ac.ModeIndex.of(3)
     k = mode.l_sq * math.pi**2
     limit = (2.0 / ac.GAMMA_QUARTIC) / k * (1.0 - 1.0 / math.sqrt(1.0 + k))
-    assert ac.beta_crit(500.0, 1.0, mode) == pytest.approx(limit, rel=1e-12)
-
-
-def test_beta_crit_rejects_translation(symmetric):
-    with pytest.raises(ValueError):
-        ac.beta_crit(1.0, 1.0, ac.ModeIndex.of(0))
+    crit = ac.amplification(make_sharp(L=500.0), 0.1, 250.0, mode).beta_crit
+    assert crit == pytest.approx(limit, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
