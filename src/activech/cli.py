@@ -213,7 +213,8 @@ def _cmd_modes(args) -> int:
         raise ConfigurationError(f"[output] modes_lmax: modes needs at least 1, got {modes_lmax}")
     sharp = derive_sharp_params(cfg.params, cfg.lengths[0], cfg.lengths[1])
     record = _run_configured(cfg, modes_lmax)
-    if np.all(np.isnan(record.mode_amps)):   # no record had a front to measure
+    measured = np.all(np.isfinite(record.mode_amps), axis=1)   # a failed extraction is NaN
+    if not measured.any():   # no record had a front to measure
         raise NumericalError("; ".join(w for w in record.warnings
                                        if w.startswith("mode extraction:")))
     l_max = record.mode_amps.shape[1] - 1
@@ -221,22 +222,23 @@ def _cmd_modes(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table(out_dir / "modes.csv", ["t"] + [f"A{l}" for l in range(l_max + 1)],
                 np.column_stack([record.times, record.mode_amps]))
-    dominant = 1 + int(np.argmax(np.abs(record.mode_amps[-1, 1:])))
+    times, mode_amps = record.times[measured], record.mode_amps[measured]
+    dominant = 1 + int(np.argmax(np.abs(mode_amps[-1, 1:])))
     # the linearization's base state is the mean height A0(0), not the
     # tracking line's crossing, which includes the perturbation
     mean_height = float(record.mode_amps[0, 0])
     q_for_rate = mean_height if math.isfinite(mean_height) else cfg.lengths[0] / 2
     row = amplification(sharp, cfg.params.beta, q_for_rate, ModeIndex.of(dominant))
-    amps = np.abs(record.mode_amps[:, dominant])
-    start, stop = growth_window(record.times, amps, cfg.lengths[1])
+    amps = np.abs(mode_amps[:, dominant])
+    start, stop = growth_window(times, amps, cfg.lengths[1])
     if start == 0:
         print(f"warning: mode l={dominant} shows no take-off; the fit window is the "
               f"whole run, not the linear regime", file=sys.stderr)
-    fitted = fit_growth_rate(record.times[start:stop], amps[start:stop])
+    fitted = fit_growth_rate(times[start:stop], amps[start:stop])
     print(f"dominant mode l={dominant}; fitted rate {fitted:.4g} "
           f"vs predicted {row.growth_rate:.4g} at q={q_for_rate:.4g}, "
           f"beta_crit={row.beta_crit:.4g} "
-          f"(window t=[{record.times[start]:g}, {record.times[stop - 1]:g}])")
+          f"(window t=[{times[start]:g}, {times[stop - 1]:g}])")
     print(f"wrote {out_dir / 'modes.csv'}")
     return 0
 

@@ -80,16 +80,20 @@ def mu_planar(sharp: SharpParams, side: str, q: float, z) -> float:
     if side == "+":
         if np.any(z_arr < 0.0) or np.any(z_arr > q):
             raise ValueError(f"mu_plus is defined on [0, q]=[0, {q}]")
-        out = sharp.d_plus * (1.0 - np.cosh(sharp.lambda_plus * z_arr)
-                              / math.cosh(sharp.lambda_plus * q))
+        out = sharp.d_plus * (1.0 - _cosh_ratio(sharp.lambda_plus, z_arr, q))
     elif side == "-":
         if np.any(z_arr < q) or np.any(z_arr > L):
             raise ValueError(f"mu_minus is defined on [q, L]=[{q}, {L}]")
-        out = sharp.d_minus * (1.0 - np.cosh(sharp.lambda_minus * (L - z_arr))
-                               / math.cosh(sharp.lambda_minus * (L - q)))
+        out = sharp.d_minus * (1.0 - _cosh_ratio(sharp.lambda_minus, L - z_arr, L - q))
     else:
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     return out if out.ndim else float(out)
+
+
+def _cosh_ratio(lam: float, z, q: float):
+    """cosh(lam z) / cosh(lam q) for 0 <= z <= q, with no exponent above 0 (no overflow)."""
+    return (np.exp(lam * (z - q)) * (1.0 + np.exp(-2.0 * lam * z))
+            / (1.0 + math.exp(-2.0 * lam * q)))
 
 
 def _front_velocity(sharp: SharpParams):

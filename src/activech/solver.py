@@ -33,34 +33,44 @@ most 4 superdiagonals, so L + U holds at most 8 n nonzeros (1 783 against
 S's 1 279 at 257 nodes).  Minimum degree finds no less fill and costs more
 per call, so S is factored fresh in float64 in natural order
 (``permc_spec="NATURAL"``) on every Newton iteration.  In 2D L + U fills
-several times S, and the solves are mixed-precision iterative refinement
-(Langou et al. 2006; Carson & Higham 2018): SuperLU factors a float32 copy
-of S, while S, the iterate x, the residual rhs - S x and its test stay in
-float64; only the vectors passed to and returned from the back-solve are
-cast.  Columns are ordered by minimum degree on the pattern of A^T + A
-(``permc_spec="MMD_AT_PLUS_A"``; on a 2D front at 16 641 nodes L + U fill
-38% less than under COLAMD, which orders for A^T A).  In float32 SuperLU
-runs in symmetric mode and prefers the diagonal pivot
-(``diag_pivot_thresh=0.01``): S has a symmetric pattern and, in the stable
-regime, a dominant diagonal.  In 2D a factorization is reused across Newton
-iterations and steps until refinement against it stalls, or until its
-contraction rate shows it would miss the budget of 12 sweeps.  The
-condition number of S grows like beta eps tau / h^4, so at large tau or
-fine h a float32 factor cannot converge: when a fresh float32
-factorization fails or stalls, the operator refactors in float64 and stays
-there.  Only a float64 failure is a :class:`NumericalError`; within a time
-step it becomes a :class:`StepFailureError` with the step and its residuals.
+several times S, and the solves are mixed-precision GMRES-based iterative
+refinement (GMRES-IR; Langou et al. 2006; Carson & Higham 2017, 2018):
+SuperLU factors a float32 copy M of S, while S, the iterate x, the residual
+rhs - S x and its test stay in float64; only the vectors passed to and
+returned from the back-solve are cast.  Columns are ordered by minimum
+degree on the pattern of A^T + A (``permc_spec="MMD_AT_PLUS_A"``; on a 2D
+front at 16 641 nodes L + U fill 38% less than under COLAMD, which orders
+for A^T A).  In float32 SuperLU runs in symmetric mode and prefers the
+diagonal pivot (``diag_pivot_thresh=0.01``): S has a symmetric pattern and,
+in the stable regime, a dominant diagonal.  In 2D a factorization is reused
+across Newton iterations and steps until refinement against it stalls, or
+until its contraction rate shows it would miss the budget of 12 back-solves
+after the first.  The condition number of S grows like beta eps tau / h^4,
+so at large tau or fine h a float32 factor cannot converge: when a fresh
+float32 factorization fails or stalls, the operator refactors in float64
+and stays there.  Only a float64 failure is a :class:`NumericalError`;
+within a time step it becomes a :class:`StepFailureError` with the step and
+its residuals.
 
-Refinement stops at ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10)
-(Eisenstat & Walker 1996): after the update of the :class:`Stepper`'s Newton
-iteration the next r1 is exactly -(rhs - S x) and r2 holds only the psi'
-Taylor remainder, so a smaller residual cannot change whether Newton converges.
+A solve starts from x0 = M^-1 rhs and stops at
+||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10) (Eisenstat & Walker
+1996): after the update of the :class:`Stepper`'s Newton iteration the next
+r1 is exactly -(rhs - S x) and r2 holds only the psi' Taylor remainder, so a
+smaller residual cannot change whether Newton converges.  When x0 misses
+that target, the correction equation S d = rhs - S x0 is solved by GMRES
+right-preconditioned with M (Saad & Schultz 1986), one back-solve per
+iteration.  It stops on its own residual estimate: below the target, on a
+stall (the estimate falls by less than a factor 0.7 in one iteration), or
+when the rate of the last iteration predicts more than 12 iterations; then
+the true residual of x0 + d decides.  A fresh float64 factor meets the
+target at x0, so in 1D GMRES never runs.
 
 Independent problems ("members", such as the rungs of an epsilon ladder)
 step in lock-step as one block-diagonal system: one factorization and
 back-solve per Newton iteration serve them all.  Each member's residual and
-refinement stop are its own, and a converged member is frozen, so in 1D its
-iterates are bit-identical to its own run's.
+target are its own, a member that meets its target at x0 keeps x0, and a
+converged member is frozen, so in 1D its iterates are bit-identical to its
+own run's.
 """
 
 from __future__ import annotations
@@ -73,6 +83,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemv
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError, ResolutionWarning, StepFailureError
@@ -224,6 +236,7 @@ class SchurOperator:
         self._lu = None        # SuperLU of the current S or of an earlier one
         self._reuse = max(m.dim for m in self.meshes) > 1   # 1D: fresh float64 factors
         self._single = self._reuse    # factor in float32; cleared for good on a float32 failure
+        self._krylov = None    # GMRES's bases V and Z, allocated on first use
         self.counts = dict.fromkeys(   # SuperLU calls, and factors dropped for their rate
             ("factor_float32", "factor_float64", "backsolve", "given_up"), 0)
 
@@ -297,16 +310,66 @@ class SchurOperator:
                 f"LU factorization of the {self.S.shape[0]}x{self.S.shape[1]} Schur matrix "
                 f"failed: {exc}") from exc
 
+    def _gmres(self, r0: np.ndarray, target: float, back_solve, dtype):
+        """Correction d to S d = r0, from at most 12 back-solves.
+
+        Right-preconditioned GMRES (Saad & Schultz 1986) with the factor M as
+        the preconditioner: the Arnoldi basis V of S M^-1 is float64, and
+        Z = M^-1 V is kept as ``back_solve`` returns it (float32 in 2D), so
+        S Z = V H holds whatever precision M has.  Givens rotations reduce
+        H to R as it grows, and |g[k+1]| is the estimate of ||r0 - S d||.
+        It stops below ``target``, on a stall (the estimate falls by less
+        than 0.7), and when the last iteration's rate would miss the budget;
+        that drops the factor and counts as ``given_up``.
+        """
+        if self._krylov is None or self._krylov[1].dtype != dtype:
+            self._krylov = np.empty((13, len(r0))), np.empty((12, len(r0)), dtype)
+        V, Z = self._krylov
+        R, g, rotations = np.zeros((12, 12)), [math.sqrt(r0 @ r0)], []
+        np.divide(r0, g[0], out=V[0])
+        res = g[0]
+        for k in range(12):
+            Z[k] = back_solve(V[k])
+            # SciPy's mixed-dtype product is slower than the cast and a float64 one
+            w, basis = self.S @ Z[k].astype(np.float64, copy=False), V[:k + 1].T
+            h = dgemv(1.0, basis, w, trans=1)   # classical Gram-Schmidt, twice, in place
+            w = dgemv(-1.0, basis, h, 1.0, w, overwrite_y=1)
+            h2 = dgemv(1.0, basis, w, trans=1)
+            w = dgemv(-1.0, basis, h2, 1.0, w, overwrite_y=1)
+            h, h_next = (h + h2).tolist(), math.sqrt(w @ w)
+            for j, (c, s) in enumerate(rotations):
+                h[j], h[j + 1] = c * h[j] + s * h[j + 1], c * h[j + 1] - s * h[j]
+            diag = math.hypot(h[k], h_next)
+            if not 0.0 < diag < math.inf:   # a singular or non-finite column is left out
+                break
+            c, s = h[k] / diag, h_next / diag
+            rotations.append((c, s))
+            h[k] = diag
+            R[:k + 1, k] = h
+            g[k:] = [c * g[k], -s * g[k]]
+            old, res = res, abs(g[k + 1])
+            if res <= target or not res < 0.7 * old:   # converged (h_next = 0 too), or stalled
+                break
+            if k + 1 + math.log(target / res) / math.log(res / old) > 12:
+                self.counts["given_up"] += 1   # at this rate it would miss the budget
+                break
+            np.divide(w, h_next, out=V[k + 1])
+        m = len(rotations)
+        return solve_triangular(R[:m, :m], g[:m], check_finite=False) @ Z[:m] if m else 0.0
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve S x = rhs to ||rhs_i - S x_i|| <= max(LINEAR_TOL ||rhs_i||, NEWTON_TOL/10).
 
-        Each member i stops on its own (a norm over all would let one with a
-        small rhs stop short), and refinement then leaves x_i alone.  The next
-        r1 of :meth:`Stepper.step` is -(rhs - S x).  In 1D, factors S fresh in
-        float64.  In 2D, tries the most recent factorization first;
-        refactorizes S when refinement stalls, is non-finite or would need more
-        than 12 sweeps at its contraction rate, and refactorizes in float64
-        when refinement against a fresh float32 factor fails that way too.
+        Each member i has its own target (a norm over all would let one with a
+        small rhs stop short).  After x0 = M^-1 rhs, only members above their
+        target are refined, by GMRES on the correction equation (see
+        :meth:`_gmres`) to the smallest of their targets; the others keep x0.
+        The next r1 of :meth:`Stepper.step` is -(rhs - S x).  In 1D, factors S
+        fresh in float64, which meets every target at x0.  In 2D, tries the
+        most recent factorization first; refactorizes S when GMRES stalls, is
+        non-finite or would need more than 12 back-solves at its contraction
+        rate, or when the true residual misses a target, and refactorizes in
+        float64 when refinement against a fresh float32 factor fails that way too.
         """
         # np.linalg.norm's own expression, member by member
         norms = [math.sqrt(rhs[s] @ rhs[s]) for s in self.slices]
@@ -320,26 +383,22 @@ class SchurOperator:
 
             def back_solve(v):
                 self.counts["backsolve"] += 1
-                return lu.solve(v.astype(dtype, copy=False)).astype(np.float64, copy=False)
+                return lu.solve(v.astype(dtype, copy=False))
 
-            x = back_solve(rhs)
+            x = back_solve(rhs).astype(np.float64, copy=False)
             r = rhs - S @ x
             rels = [math.sqrt(r[s] @ r[s]) / n if n else 0.0 for s, n in zip(self.slices, norms)]
             live = [rel > tol and math.isfinite(rel) for rel, tol in zip(rels, tols)]
-            for k in range(1, 13):
-                if not any(live):
-                    break
-                x = np.where(np.repeat(live, sizes), x + back_solve(r), x)
+            if any(live):
+                # S and the factor are block diagonal, so a frozen member's rows stay zero;
+                # the joint residual bounds each member's, so the smallest target serves all
+                r0 = r if all(live) else np.where(np.repeat(live, sizes), r, 0.0)
+                target = min(tol * n for tol, n, on in zip(tols, norms, live) if on)
+                x = x + self._gmres(r0, target, back_solve, dtype)
                 r = rhs - S @ x
                 for i, s in enumerate(self.slices):
                     if live[i]:
-                        old_rel, rels[i] = rels[i], math.sqrt(r[s] @ r[s]) / norms[i]
-                        rel, tol, contracts = rels[i], tols[i], rels[i] < 0.7 * old_rel
-                        # at this rate it would miss the budget
-                        given_up = contracts and rel > tol and (
-                            k + math.log(tol / rel) / math.log(rel / old_rel) > 12)
-                        self.counts["given_up"] += given_up
-                        live[i] = contracts and rel > tol and math.isfinite(rel) and not given_up
+                        rels[i] = math.sqrt(r[s] @ r[s]) / norms[i]
             # the first member above its target, if any (a NaN residual is a stall too)
             return x, next(((rel, tol) for rel, tol in zip(rels, tols) if not rel <= tol), None)
 

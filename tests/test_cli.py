@@ -486,6 +486,29 @@ def test_modes_without_a_measurable_front_reports_the_mode_extraction_failure(tm
     assert "dominant" not in err and "take-off" not in err and "growth-rate" not in err
 
 
+def test_modes_picks_the_dominant_mode_from_the_last_measured_record(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the last of the five records fails to extract its modes; a NaN row must neither
+    # win the dominant-mode pick (as l=1) nor enter the fit
+    real, calls = ac.analysis.mode_amplitudes, []
+
+    def fails_last(field, l_max):
+        calls.append(1)
+        if len(calls) == 5:
+            raise ac.MeasurementError("no front on the last record")
+        return real(field, l_max)
+
+    monkeypatch.setattr(ac.analysis, "mode_amplitudes", fails_last)
+    cfg = write_cfg(tmp_path, MODES_CFG)
+    code = main(["modes", "--config", cfg, "--out", str(tmp_path / "m")])
+    assert len(calls) == 5
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "dominant mode l=2;" in out and "(window t=[0, 0.015])" in out
+    rows = (tmp_path / "m" / "modes.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and rows[-1].endswith(",nan")
+
+
 def test_modes_rejects_zero_rate_before_simulating(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MODES_CFG.replace("s_minus = 8", "s_minus = 8\nk_plus = 0"))
     assert main(["modes", "--config", cfg, "--out", str(tmp_path / "m")]) == 1

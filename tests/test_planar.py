@@ -74,6 +74,37 @@ def test_mu_domain_errors(table1_sharp):
         ac.mu_planar(table1_sharp, "x", 0.3, 0.1)
 
 
+def test_mu_does_not_overflow_on_a_long_domain():
+    # lambda q = 1000 is beyond cosh's range, but the ratio cosh(lambda z)/cosh(lambda q)
+    # is at most 1; one unit from the front it is e^-1 up to e^-1998
+    sharp = make_sharp(L=2000.0)
+    assert sharp.lambda_plus == sharp.lambda_minus == 1.0
+    mu_plus = ac.mu_planar(sharp, "+", 1000.0, np.array([0.0, 999.0, 1000.0]))
+    mu_minus = ac.mu_planar(sharp, "-", 1000.0, np.array([1000.0, 1001.0, 2000.0]))
+    assert mu_plus == pytest.approx(sharp.d_plus * np.array([1.0, 1.0 - math.exp(-1.0), 0.0]),
+                                    rel=1e-15, abs=1e-15)
+    assert mu_minus == pytest.approx(sharp.d_minus * np.array([0.0, 1.0 - math.exp(-1.0), 1.0]),
+                                     rel=1e-15, abs=1e-15)
+
+
+@pytest.mark.parametrize("L", [1.0, 300.0])
+def test_mu_matches_the_cosh_form(table1_sharp, L):
+    # the overflow-free form against d (1 - cosh(lambda z) / cosh(lambda q)) where
+    # cosh stays finite
+    sharp = dataclasses.replace(table1_sharp, length_L=L)
+    for q in np.linspace(0.01 * L, 0.99 * L, 37):
+        z = np.linspace(0.0, q, 50)
+        lam = sharp.lambda_plus
+        cosh_form = sharp.d_plus * (1.0 - np.cosh(lam * z) / math.cosh(lam * q))
+        assert np.max(np.abs(ac.mu_planar(sharp, "+", q, z) - cosh_form)) <= (
+            1e-14 * abs(sharp.d_plus))
+        z = np.linspace(q, L, 50)
+        lam = sharp.lambda_minus
+        cosh_form = sharp.d_minus * (1.0 - np.cosh(lam * (L - z)) / math.cosh(lam * (L - q)))
+        assert np.max(np.abs(ac.mu_planar(sharp, "-", q, z) - cosh_form)) <= (
+            1e-14 * abs(sharp.d_minus))
+
+
 def test_mu_satisfies_bulk_ode(table1_sharp):
     # -m mu'' + rho mu - S = 0, checked by centered differences
     sharp = table1_sharp

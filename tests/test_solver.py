@@ -1,6 +1,7 @@
 """Tests for initial data, the time-stepping scheme and the run driver."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -507,14 +508,16 @@ def test_refinement_stops_at_a_tenth_of_newton_tol(quartic, monkeypatch):
 
 
 def test_stale_factor_that_would_miss_the_budget_is_dropped_early(quartic):
-    # against the factor of S/1.2 the residual contracts by 0.2 per sweep: reaching
-    # LINEAR_TOL takes 15 back-solves, and the budget is 13
+    # against the factor of S at psi'' = 2, S at a spread random psi'' in [-2, 2]
+    # leaves a GMRES residual that contracts by about 0.21 in its first iteration:
+    # reaching LINEAR_TOL at that rate takes about 14 iterations, and the budget is 12
     op = solver.SchurOperator(ac.build_mesh(2, (1.0, 1.0), 1 / 16), make_params(quartic))
+    n = op.meshes[0].n_nodes
     op.set_mobility(np.ones(op.meshes[0].n_elements))
-    S = op.assemble(np.full(op.meshes[0].n_nodes, 2.0), op.meshes[0].lumped / 1e-3)
-    rhs = np.random.default_rng(4).standard_normal(op.meshes[0].n_nodes)
+    op.assemble(np.full(n, 2.0), op.meshes[0].lumped / 1e-3)
+    rhs = np.random.default_rng(4).standard_normal(n)
     op.solve(rhs)
-    S.data *= 1.2
+    S = op.assemble(np.random.default_rng(0).uniform(-2.0, 2.0, n), op.meshes[0].lumped / 1e-3)
     start, stale = op.counts["backsolve"], []
     factor = op._factor
     op._factor = lambda: (stale.append(op.counts["backsolve"] - start), factor())
@@ -522,6 +525,48 @@ def test_stale_factor_that_would_miss_the_budget_is_dropped_early(quartic):
     assert stale == [2]
     assert op.counts["given_up"] == 1 and op.counts["factor_float64"] == 0
     assert np.linalg.norm(rhs - S @ x) <= solver.LINEAR_TOL * np.linalg.norm(rhs)
+
+
+def test_gmres_refinement_beats_richardson_on_a_stale_factor(quartic):
+    # the oracle is plain iterative refinement, x += M^-1 (rhs - S x), against the
+    # same stale float32 factor M; both must reach the target, which GMRES does in
+    # 6 back-solves and the oracle in 7
+    op, S, rhs = _stale_front_operator(quartic)
+    lu, start = op._lu, op.counts["backsolve"]
+    target = max(solver.LINEAR_TOL * np.linalg.norm(rhs), solver.NEWTON_TOL / 10)
+    x = op.solve(rhs)
+    assert op._lu is lu and op.counts["given_up"] == 0
+    gmres_solves = op.counts["backsolve"] - start
+    assert np.linalg.norm(rhs - S @ x) <= target
+
+    def back_solve(v):
+        return lu.solve(v.astype(np.float32)).astype(np.float64)
+
+    richardson, r = back_solve(rhs), rhs
+    for richardson_solves in range(1, 100):
+        r = rhs - S @ richardson
+        if np.linalg.norm(r) <= target:
+            break
+        richardson += back_solve(r)
+    assert np.linalg.norm(r) <= target
+    assert gmres_solves < richardson_solves
+
+
+def test_gmres_stops_on_a_happy_breakdown(quartic):
+    # with S = 2 I and M = I the first Krylov vector is e_1 and S M^-1 e_1 = 2 e_1
+    # exactly, so h_{2,1} = 0: the estimate is zero and the solve is exact, with
+    # no division by h_{2,1} and no singular triangular solve
+    op = solver.SchurOperator(ac.build_mesh(2, (1.0, 1.0), 1 / 4), make_params(quartic))
+    n = op.meshes[0].n_nodes
+    op.S = 2.0 * sparse.identity(n, format="csc")
+    solves = []
+    op._lu = _CountingLU(types.SimpleNamespace(solve=lambda v: v.copy()), solves)
+    rhs = np.zeros(n)
+    rhs[0] = 3.0
+    x = op.solve(rhs)
+    assert np.array_equal(x, rhs / 2.0)
+    assert len(solves) == op.counts["backsolve"] == 2
+    assert op.counts["given_up"] == op.counts["factor_float32"] == 0
 
 
 def test_spinodal_newton_counts_and_float32_factors(quartic):
