@@ -26,8 +26,12 @@ from .solver import SolverConfig, max_mesh_size, run_members
 #: amplitude up to GROWTH_SATURATION times the transverse width.
 GROWTH_TAKEOFF = 3.0
 GROWTH_SATURATION = 0.1
-#: RK4 step of the sharp front ODE that the ladder's errors are measured against.
+#: Finest RK4 step of the sharp front ODE that the ladder's errors are measured against.
 REFERENCE_DT = 1e-5
+#: The reference's step halving starts at t_end / REFERENCE_STEPS and stops once two
+#: results agree within REFERENCE_TOL times the domain length.
+REFERENCE_STEPS = 64
+REFERENCE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +196,27 @@ def eoc_sequence(epsilons, errors) -> list[float | None]:
 
 def reference_front_position(p: PhaseFieldParams, length_L: float, width_Lt: float,
                              q0: float, t_end: float) -> float:
-    """Sharp-interface front position from the planar ODE, at step ``REFERENCE_DT``."""
+    """Sharp-interface front position q(t_end) from the planar ODE.
+
+    RK4 runs with dt = t_end/n for n = REFERENCE_STEPS, 2 REFERENCE_STEPS, ...,
+    and stops at the first n whose q(t_end) agrees with that of n/2 within
+    REFERENCE_TOL * L, or once dt <= REFERENCE_DT.  A front that leaves the
+    domain is a ConfigurationError only at that finest step.
+    """
     sharp = derive_sharp_params(p, length_L, width_Lt)
-    traj = integrate_q(sharp, q0, REFERENCE_DT, t_end)
-    if traj.boundary_hit:
-        raise ConfigurationError("reference front left the domain before t_end")
-    return float(traj.q[-1])
+    n, prev = REFERENCE_STEPS, None
+    while True:
+        # t_end <= 0 or not finite: integrate_q checks q0 and t_end; t_end = 0 takes no step
+        dt = t_end / n if 0.0 < t_end < math.inf else REFERENCE_DT
+        traj = integrate_q(sharp, q0, dt, t_end, output_stride=n)
+        q = None if traj.boundary_hit else float(traj.q[-1])
+        if dt <= REFERENCE_DT:
+            if q is None:
+                raise ConfigurationError("reference front left the domain before t_end")
+            return q
+        if q is not None and prev is not None and abs(q - prev) <= REFERENCE_TOL * length_L:
+            return q
+        n, prev = 2 * n, q
 
 
 def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
@@ -207,7 +226,7 @@ def convergence_study(p: PhaseFieldParams, epsilons, t_end: float, *,
     """Front-position error against the sharp ODE for a decreasing epsilon ladder.
 
     Each rung is a flat front at ``q0`` that records only t = 0 and
-    ``t_end``, against the planar ODE at step ``REFERENCE_DT``.  The rungs
+    ``t_end``, against :func:`reference_front_position`.  The rungs
     run in lock-step as the members of one :func:`run_members`; in 1D each
     rung's result is bit-identical to its own :func:`run_simulation`.  The
     flat-front problem is genuinely one-dimensional, so ``dim=1`` is the fast

@@ -5,7 +5,8 @@ along the same (bottom-left to top-right) diagonal.  Nodes are ordered
 x-fastest, matching the flat layout of snapshot and checkpoint files.
 Every P1 stiffness matrix on this lattice is a weighted 5-point stencil
 (3-point in 1D): ``stencil_bands`` computes its bands, and ``band_csc``
-turns bands into SciPy's compressed format.
+turns bands into SciPy's compressed format.  SciPy is imported there, on
+the first matrix, so that building meshes and fields needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +175,8 @@ def band_csc(offsets, bands: np.ndarray) -> sparse.csr_matrix:
     holds the CSC arrays of A; for a symmetric A, also its CSR arrays.
     Exact zeros are not stored.
     """
+    from scipy import sparse
+
     n = bands.shape[1]
     return sparse.dia_matrix((bands[::-1], offsets), shape=(n, n)).tocsr()
 

@@ -71,7 +71,7 @@ def write_vtk(path, mesh: StructuredMesh, fields: dict[str, np.ndarray], title="
                 f"field {name!r} has {values.shape} values for {mesh.n_nodes} nodes")
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in values)
+        lines.extend("%.17g" % v for v in values.tolist())   # _fmt's text, on Python floats
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -71,6 +71,11 @@ back-solve per Newton iteration serve them all.  Each member's residual and
 target are its own, a member that meets its target at x0 keeps x0, and a
 converged member is frozen, so in 1D its iterates are bit-identical to its
 own run's.
+
+SciPy is imported where a matrix is first built or factored, not with the
+package, so the sharp-interface engine runs on NumPy alone; :func:`splu`
+stays a module-level function, looked up at call time, so that the
+factorization entry point can be wrapped or replaced as ``solver.splu``.
 """
 
 from __future__ import annotations
@@ -80,18 +85,18 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemv
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigurationError, NumericalError, ResolutionWarning, StepFailureError
 from .mesh import (NodalField, StructuredMesh, band_pattern, build_mesh, element_means,
                    stencil_bands, stiffness_matrix)
 from .model import PhaseFieldParams, _require_finite, ddpsi, dpsi, mobility_m, psi, source_S
 from .initial import init_field
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 PHI_BOUND_WARN = 1.1
 
@@ -143,6 +148,13 @@ class StepReport:
 
     iterations: int
     histories: list[list[float]]
+
+
+def splu(A, **options):
+    """SciPy's sparse LU of ``A`` (:func:`scipy.sparse.linalg.splu`)."""
+    from scipy.sparse.linalg import splu as superlu
+
+    return superlu(A, **options)
 
 
 def _members(mesh, params) -> tuple[tuple[StructuredMesh, ...], tuple[PhaseFieldParams, ...]]:
@@ -241,6 +253,8 @@ class SchurOperator:
             ("factor_float32", "factor_float64", "backsolve", "given_up"), 0)
 
     def _build(self):
+        from scipy import sparse
+
         self._blocks = [_Block(mesh) for mesh in self.meshes]
         n = self.slices[-1].stop
         indptr, indices, self._km_parts = _join([b.km_pattern for b in self._blocks])
@@ -322,6 +336,9 @@ class SchurOperator:
         than 0.7), and when the last iteration's rate would miss the budget;
         that drops the factor and counts as ``given_up``.
         """
+        from scipy.linalg import solve_triangular
+        from scipy.linalg.blas import dgemv
+
         if self._krylov is None or self._krylov[1].dtype != dtype:
             self._krylov = np.empty((13, len(r0))), np.empty((12, len(r0)), dtype)
         V, Z = self._krylov
@@ -438,10 +455,15 @@ class Stepper:
         self.schur = SchurOperator(self.meshes, self.params)
         self.slices = self.schur.slices
         K = [stiffness_matrix(m) for m in self.meshes]   # each row keeps its entry order
-        self.K = K[0] if len(K) == 1 else sparse.block_diag(K, format="csr")
-        self.w = np.concatenate([m.lumped for m in self.meshes])
-        self.eps = np.concatenate([np.full(m.n_nodes, q.epsilon)
-                                   for m, q in zip(self.meshes, self.params)])
+        if len(K) == 1:   # as _stack does: one member's arrays are its own, and eps a scalar
+            self.K, self.w, self.eps = K[0], self.meshes[0].lumped, self.params[0].epsilon
+        else:
+            from scipy import sparse
+
+            self.K = sparse.block_diag(K, format="csr")
+            self.w = np.concatenate([m.lumped for m in self.meshes])
+            self.eps = np.concatenate([np.full(m.n_nodes, q.epsilon)
+                                       for m, q in zip(self.meshes, self.params)])
         beta = self.params[0].beta   # constant factors, in the operand order of the residual
         self._c_grad, self._c_well = beta * self.eps, (beta / self.eps) * self.w
         for m, q in zip(self.meshes, self.params):

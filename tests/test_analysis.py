@@ -374,6 +374,55 @@ def test_convergence_study_micro(quartic):
     assert table.rows[0].h == pytest.approx(1 / 32)
 
 
+def _ladder1d_params(quartic):
+    """The benchmark ladder's physics: beta = 0.1, S+- = -+1, K+- = 0.2, m+- = 1."""
+    return ac.PhaseFieldParams(0.1, 1 / (2 * math.pi), quartic,
+                               ac.ReactionSpec(-1.0, 1.0, 0.2, 0.2), ac.MobilitySpec(1.0, 1.0))
+
+
+def test_reference_front_position_matches_the_finest_step(quartic):
+    p = _ladder1d_params(quartic)
+    oracle = ac.integrate_q(ac.derive_sharp_params(p, 1.0, 1.0), 0.3, 1e-5, 0.2).q[-1]
+    assert abs(ac.reference_front_position(p, 1.0, 1.0, 0.3, 0.2) - oracle) <= 1e-13
+
+
+def test_reference_front_position_at_t_zero_is_q0(quartic):
+    assert ac.reference_front_position(_ladder1d_params(quartic), 1.0, 1.0, 0.3, 0.0) == 0.3
+    with pytest.raises(ac.ConfigurationError):
+        ac.reference_front_position(_ladder1d_params(quartic), 1.0, 1.0, 1.3, 0.0)
+
+
+def test_reference_front_position_raises_on_a_boundary_hit_at_the_finest_step_only(
+        quartic, monkeypatch):
+    from activech import analysis
+
+    p, real, steps = _ladder1d_params(quartic), analysis.integrate_q, []
+
+    def integrate_q(sharp, q0, dt, t_end, output_stride=1):
+        steps.append(round(t_end / dt))
+        traj = real(sharp, q0, dt, t_end, output_stride)
+        return dataclasses.replace(traj, boundary_hit=dt > hit_above)
+
+    monkeypatch.setattr(analysis, "integrate_q", integrate_q)
+    hit_above = 0.2 / 256   # the 64- and 128-step runs leave the domain
+    q = analysis.reference_front_position(p, 1.0, 1.0, 0.3, 0.2)
+    assert steps == [64, 128, 256, 512]
+    assert abs(q - real(ac.derive_sharp_params(p, 1.0, 1.0), 0.3, 1e-5, 0.2).q[-1]) <= 1e-13
+    steps.clear()
+    hit_above = 0.0   # every run does
+    with pytest.raises(ac.ConfigurationError, match="left the domain"):
+        analysis.reference_front_position(p, 1.0, 1.0, 0.3, 0.2)
+    assert steps[-1] == 32768 and 0.2 / steps[-1] <= analysis.REFERENCE_DT < 0.2 / steps[-2]
+
+
+def test_convergence_study_runs_a_horizon_off_the_reference_step(quartic):
+    # 4.5e-5 is no multiple of the finest reference step 1e-5, but 3 steps of tau
+    table = ac.convergence_study(_ladder1d_params(quartic), [1 / (4 * math.pi), 1 / (8 * math.pi)],
+                                 4.5e-5, cfg=ac.SolverConfig(tau=1.5e-5))
+    assert [row.note for row in table.rows] == ["", ""]
+    assert all(0.0 < row.error < 1e-3 for row in table.rows)
+
+
 def test_convergence_study_annotates_failures(quartic, monkeypatch):
     reaction = ac.ReactionSpec(-1.0, 4.0, 0.2, 0.02, -1.0)
     p = ac.PhaseFieldParams(0.1, 1 / (4 * math.pi), quartic, reaction,

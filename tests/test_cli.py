@@ -534,3 +534,46 @@ def test_python_dash_m_runs_the_cli():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == f"activech {ac.__version__}"
+
+
+_SHARP_ONLY = """
+import contextlib, io, json, sys
+import numpy
+random_with_numpy = {m for m in sys.modules if m.startswith("numpy.random")}
+import activech
+from activech import cli
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+flags, out = ["--beta", "0.1", "--splus", "-1", "--sminus", "1"], sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["check"]), cli.main(["si-table", "--out", out + "/si.csv"]),
+             cli.main(["stability", *flags, "--lmax", "3"]),
+             cli.main(["sharp-ode", *flags, "--t-end", "0.01", "--out", out + "/ode.csv"])]
+loaded["commands"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded["random"] = sorted(m for m in sys.modules
+                          if m.startswith("numpy.random") and m not in random_with_numpy)
+mesh = activech.build_mesh(1, (1.0,), 1 / 16)
+p = activech.PhaseFieldParams(0.1, 1 / (2 * 3.141592653589793),
+                              activech.DoubleWellPotential.quartic(),
+                              activech.ReactionSpec(-1.0, 1.0, 0.2, 0.2),
+                              activech.MobilitySpec(1.0, 1.0))
+phi = activech.init_field(mesh, "flat_front", {"q0": 0.3}, p.epsilon).values
+stepper = activech.Stepper(mesh, p, activech.SolverConfig())
+stepper.step(phi, stepper.initial_mu(phi))
+loaded["step"] = "scipy.sparse.linalg" in sys.modules
+print(json.dumps({"codes": codes, **loaded}))
+"""
+
+
+def test_sharp_commands_run_without_scipy_or_numpy_random(tmp_path):
+    # the sharp engine is closed forms and one Gauss rule: neither importing the
+    # package nor check, si-table, stability and sharp-ode may load SciPy, and
+    # check draws its parameter sets without numpy.random; one time step does
+    # load SciPy's sparse LU (the positive control)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ac.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _SHARP_ONLY, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout)
+    assert got == {"codes": [0, 0, 0, 0], "import": [], "commands": [], "random": [],
+                   "step": True}

@@ -68,6 +68,19 @@ def test_vtk_1d(tmp_path):
     assert f"DIMENSIONS {mesh.n_nodes} 1 1" in path.read_text()
 
 
+def test_vtk_values_are_the_17_digit_format_of_each_float(tmp_path):
+    mesh = ac.build_mesh(1, (1.0,), 1 / 16)
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                       np.nextafter(-1.0, 0.0), 1 - 2**-53, 0.1, -1 / 3, 5e-324,
+                       1.7976931348623157e308, np.nan, np.inf, -np.inf, 2.5])
+    path = tmp_path / "snap.vtk"
+    write_vtk(path, mesh, {"phi": values})
+    lines = path.read_bytes().decode("ascii").split("\n")
+    at = lines.index("LOOKUP_TABLE default") + 1
+    assert lines[at:] == [format(float(v), ".17g") for v in values] + [""]
+    assert lines[at:at + 2] == ["0", "-0"] and lines[at + 13:at + 16] == ["nan", "inf", "-inf"]
+
+
 def test_vtk_size_mismatch(tmp_path):
     mesh = ac.build_mesh(1, (1.0,), 0.25)
     with pytest.raises(ac.ConfigurationError):
