@@ -12,22 +12,18 @@ from .model import (
     GAMMA_QUARTIC,
     DoubleWellPotential,
     MobilitySpec,
-    NondimReport,
     PhaseFieldParams,
     ReactionSpec,
     SharpParams,
     ddpsi,
     derive_sharp_params,
     dpsi,
-    interp_G,
     mobility_m,
-    nondimensionalize,
     profile_Phi0,
     psi,
     si_closed_form,
     si_quadrature,
     source_S,
-    source_S1,
     source_S2,
 )
 from .planar import (
@@ -40,7 +36,6 @@ from .planar import (
     integrate_q,
     mode_representatives,
     mu_planar,
-    velocity_H,
 )
 
 __version__ = "0.1.0"

@@ -139,21 +139,6 @@ class SharpParams:
         return self.d_minus * self.rho_minus
 
 
-@dataclass(frozen=True)
-class NondimReport:
-    """Characteristic scales and dimensionless groups of a configuration."""
-
-    x_tilde: float
-    mu_tilde: float
-    t_tilde: float
-    c_l: float
-    beta_star: float
-    m_star: float
-    s_star: float
-    rho_star: float
-    s_i_star: float
-
-
 # ---------------------------------------------------------------------------
 # potential and interpolation functions
 # ---------------------------------------------------------------------------
@@ -204,18 +189,6 @@ def _g_scaled(k: int, r, r_c: float):
     raise ValueError(f"interpolation index must be 1..4, got {k}")
 
 
-def interp_G(k: int, r: float, r_c: float) -> float:
-    """Interpolation function G_k(r) for r in [-r_c, r_c].
-
-    Raises ``ValueError`` outside the interpolation interval.
-    """
-    if not (0.0 < r_c <= 1.0):
-        raise ConfigurationError(f"r_c must lie in (0, 1], got {r_c}")
-    if not abs(r) <= r_c:   # NaN fails this test too
-        raise ValueError(f"G_{k} is defined on [-r_c, r_c]; got r={r}, r_c={r_c}")
-    return float(_g_scaled(k, r, r_c))
-
-
 # ---------------------------------------------------------------------------
 # reaction source
 # ---------------------------------------------------------------------------
@@ -235,11 +208,6 @@ def _source_branches(spec: ReactionSpec, r):
     s2 = np.where(above, -spec.k_plus * (r - 1.0),
                   np.where(below, -spec.k_minus * (r + 1.0), s2_hat))
     return tuple(out if out.ndim else float(out) for out in (s1, s2))
-
-
-def source_S1(spec: ReactionSpec, r):
-    """Slow source term: interpolates S- to S+ across the interface."""
-    return _source_branches(spec, r)[0]
 
 
 def source_S2(spec: ReactionSpec, r):
@@ -383,30 +351,3 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
         length_L=length_L,
         width_Lt=width_Lt,
     )
-
-
-def nondimensionalize(p: PhaseFieldParams, sharp: SharpParams) -> NondimReport:
-    """Characteristic scales built from the minus-phase quantities."""
-    rho_minus = sharp.rho_minus
-    s_minus = p.reaction.s_minus
-    if s_minus <= 0.0:
-        raise ConfigurationError(
-            f"nondimensionalization requires S_minus > 0; got S_minus={s_minus}")
-    m_minus = p.mobility.m_minus
-    x_tilde = math.sqrt(m_minus / rho_minus)
-    mu_tilde = s_minus / rho_minus
-    t_tilde = 1.0 / s_minus
-    c_l = p.beta * rho_minus / s_minus
-    beta_star = p.beta * rho_minus**1.5 / (math.sqrt(m_minus) * s_minus)
-    return NondimReport(
-        x_tilde=x_tilde,
-        mu_tilde=mu_tilde,
-        t_tilde=t_tilde,
-        c_l=c_l,
-        beta_star=beta_star,
-        m_star=p.mobility.m_plus / m_minus,
-        s_star=p.reaction.s_plus / s_minus,
-        rho_star=sharp.rho_plus / rho_minus,
-        s_i_star=sharp.s_interface * math.sqrt(rho_minus / m_minus) / s_minus,
-    )
-

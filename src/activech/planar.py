@@ -75,18 +75,18 @@ def mu_planar(sharp: SharpParams, side: str, q: float, z) -> float:
     """
     L = sharp.length_L
     if not (0.0 < q < L):
-        raise ValueError(f"front position must lie in (0, {L}), got {q}")
+        raise ConfigurationError(f"front position must lie in (0, {L}), got {q}")
     z_arr = np.asarray(z, dtype=float)
     if side == "+":
         if np.any(z_arr < 0.0) or np.any(z_arr > q):
-            raise ValueError(f"mu_plus is defined on [0, q]=[0, {q}]")
+            raise ConfigurationError(f"mu_plus is defined on [0, q]=[0, {q}]")
         out = sharp.d_plus * (1.0 - _cosh_ratio(sharp.lambda_plus, z_arr, q))
     elif side == "-":
         if np.any(z_arr < q) or np.any(z_arr > L):
-            raise ValueError(f"mu_minus is defined on [q, L]=[{q}, {L}]")
+            raise ConfigurationError(f"mu_minus is defined on [q, L]=[{q}, {L}]")
         out = sharp.d_minus * (1.0 - _cosh_ratio(sharp.lambda_minus, L - z_arr, L - q))
     else:
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
+        raise ConfigurationError(f"side must be '+' or '-', got {side!r}")
     return out if out.ndim else float(out)
 
 
@@ -113,13 +113,6 @@ def _front_velocity(sharp: SharpParams):
         return a * tanh(lam_plus * q) + b * tanh(lam_minus * (L - q)) + c
 
     return H
-
-
-def velocity_H(sharp: SharpParams, q: float) -> float:
-    """Right-hand side of the front ODE dq/dt = H(q)."""
-    if not (0.0 < q < sharp.length_L):
-        raise ValueError(f"front position must lie in (0, {sharp.length_L}), got {q}")
-    return _front_velocity(sharp)(q)
 
 
 def find_stationary(sharp: SharpParams) -> float | None:

@@ -1,10 +1,12 @@
-"""Regenerate the sharp engine's golden outputs in tests/golden/.
+"""Regenerate the golden CLI outputs in tests/golden/.
 
     PYTHONPATH=src python tests/make_golden.py
 
 Each entry of COMMANDS is a CLI call whose ``--out`` file is stored under its
-key; ``check.txt`` holds the PASS/FAIL names of ``activech check``, without
-its residuals, which are rounding-level and differ between platforms.
+key; for a command whose ``--out`` is a directory, FROM_DIR names the one file
+of it that is stored.  ``check.txt`` holds the PASS/FAIL names of ``activech
+check``, without its residuals, which are rounding-level and differ between
+platforms.
 ``tests/test_golden.py`` reruns the same calls and compares values, not
 bytes.  Rerun this script only in a change that means to alter these
 results, and say so in CHANGES.md.
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from activech.cli import main
@@ -32,14 +36,23 @@ COMMANDS = {
     "stability_d3_lmax20.csv": ["stability", "-d", "3", "--lmax", "20", *_PHYSICS],
     "stability_d2_lmax8_rc07.csv": ["stability", "-d", "2", "--lmax", "8", *_OFF_NORMALIZED],
     "sharp_ode.csv": ["sharp-ode", *_PHYSICS, "--q0", "0.3", "--dt", "1e-4", "--t-end", "0.2"],
+    # the two-rung 1D ladder of the CI console-script step: eps = 1/(4 pi), 1/(8 pi)
+    "converge_1d.csv": ["converge", "--config", str(GOLDEN / "converge_1d.cfg")],
 }
+FROM_DIR = {"converge_1d.csv": "convergence.csv"}
 CHECK = "check.txt"
 
 
 def run_command(name: str, out: Path) -> int:
     """Runs COMMANDS[name] with its table written to ``out``; returns the exit code."""
     with contextlib.redirect_stdout(io.StringIO()):
-        return main([*COMMANDS[name], "--out", str(out)])
+        if name not in FROM_DIR:
+            return main([*COMMANDS[name], "--out", str(out)])
+        with tempfile.TemporaryDirectory() as tmp:
+            code = main([*COMMANDS[name], "--out", tmp])
+            if code == 0:
+                shutil.copyfile(Path(tmp) / FROM_DIR[name], out)
+            return code
 
 
 def check_names() -> tuple[int, str]:

@@ -520,6 +520,14 @@ def test_check_passes():
     assert main(["check"]) == 0
 
 
+def test_check_fails_on_an_s_i_quadrature_off_by_1e_9(monkeypatch, capsys):
+    # the quadrature agrees with the closed form to ~1e-14, so 1e-9 is a broken rule
+    real = model.si_quadrature
+    monkeypatch.setattr(cli, "si_quadrature", lambda spec: real(spec) + 1e-9)
+    assert main(["check"]) == 2
+    assert "[FAIL] interfacial reaction quadrature" in capsys.readouterr().out
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

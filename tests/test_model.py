@@ -82,34 +82,24 @@ def test_quartic_dpsi_matches_power_form():
 
 @pytest.mark.parametrize("r_c", [1.0, 0.5, 0.25])
 def test_interp_endpoint_conditions(r_c):
-    assert ac.interp_G(1, r_c, r_c) == pytest.approx(1.0, abs=1e-14)
-    assert ac.interp_G(1, -r_c, r_c) == pytest.approx(0.0, abs=1e-14)
+    assert model._g_scaled(1, r_c, r_c) == pytest.approx(1.0, abs=1e-14)
+    assert model._g_scaled(1, -r_c, r_c) == pytest.approx(0.0, abs=1e-14)
     for k in (2, 3, 4):
-        assert ac.interp_G(k, r_c, r_c) == pytest.approx(0.0, abs=1e-14)
-        assert ac.interp_G(k, -r_c, r_c) == pytest.approx(0.0, abs=1e-14)
+        assert model._g_scaled(k, r_c, r_c) == pytest.approx(0.0, abs=1e-14)
+        assert model._g_scaled(k, -r_c, r_c) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_g2_quartic_value():
     # quartic closed form: G2_hat(r) = -(1 - r^2)(r - 1)/4, so G2_hat(0) = 1/4
-    assert ac.interp_G(2, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
+    assert model._g_scaled(2, 0.0, 1.0) == pytest.approx(0.25, abs=1e-14)
 
 
 def test_g2_g3_slopes_at_crossover():
     h = 1e-7
-    g2_slope = (ac.interp_G(2, -1.0 + h, 1.0) - ac.interp_G(2, -1.0, 1.0)) / h
-    g3_slope = (ac.interp_G(3, 1.0, 1.0) - ac.interp_G(3, 1.0 - h, 1.0)) / h
+    g2_slope = (model._g_scaled(2, -1.0 + h, 1.0) - model._g_scaled(2, -1.0, 1.0)) / h
+    g3_slope = (model._g_scaled(3, 1.0, 1.0) - model._g_scaled(3, 1.0 - h, 1.0)) / h
     assert g2_slope == pytest.approx(1.0, abs=1e-3)
     assert g3_slope == pytest.approx(1.0, abs=1e-3)
-
-
-def test_interp_domain_error():
-    with pytest.raises(ValueError):
-        ac.interp_G(1, 0.6, 0.5)
-
-
-def test_interp_rejects_nan():
-    with pytest.raises(ValueError, match="defined on"):
-        ac.interp_G(1, math.nan, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +172,7 @@ def test_source_clamp_matches_np_clip_bit_for_bit(r_c):
         below, spec.s_minus, spec.s_minus + g1 * (spec.s_plus - spec.s_minus)))
     s2_ref = np.where(above, -spec.k_plus * (r - 1.0),
                       np.where(below, -spec.k_minus * (r + 1.0), s2_hat))
-    for got, ref in ((ac.source_S1(spec, r), s1_ref),
+    for got, ref in ((model._source_branches(spec, r)[0], s1_ref),
                      (ac.source_S2(spec, r), s2_ref),
                      (model._g_scaled(1, r, r_c), g1)):
         assert np.array_equal(np.isnan(got), np.isnan(ref)) and np.isnan(got[0])
@@ -206,7 +196,7 @@ def test_source_is_s1_plus_s2_over_eps_bit_for_bit(r_c, l_coef):
     eps = 1 / (8 * math.pi)
     r = np.concatenate([np.linspace(-1.4, 1.4, 57), [r_c, -r_c, 1.0, -1.0],
                         np.random.default_rng(8).uniform(-1.5, 1.5, 100_000)])
-    s1, s2 = ac.source_S1(spec, r), ac.source_S2(spec, r)
+    s1, s2 = model._source_branches(spec, r)[0], ac.source_S2(spec, r)
     assert np.array_equal(ac.source_S(spec, eps, r), s1 + s2 / eps)
     # the interior branches against G_k, each evaluated on its own, and the affine exterior
     g = {k: model._g_scaled(k, r, r_c) for k in (1, 2, 3, 4)}
@@ -232,7 +222,7 @@ def test_source_is_s1_plus_s2_over_eps_bit_for_bit(r_c, l_coef):
     for x in (r_c, -r_c, 1.0, -1.0, 0.3):
         got = ac.source_S(spec, eps, x)
         assert type(got) is float
-        assert got == ac.source_S1(spec, x) + ac.source_S2(spec, x) / eps
+        assert got == model._source_branches(spec, x)[0] + ac.source_S2(spec, x) / eps
 
 
 @pytest.mark.parametrize("field", ["s_plus", "s_minus", "k_plus", "k_minus", "l_coef", "r_c"])
@@ -465,44 +455,3 @@ def test_si_closed_form_requires_rc_one():
     spec = ac.ReactionSpec(s_plus=0.0, s_minus=0.0, k_plus=1.0, k_minus=0.0, r_c=0.5)
     with pytest.raises(ac.ConfigurationError):
         ac.si_closed_form(spec, ac.DoubleWellPotential.quartic())
-
-
-# ---------------------------------------------------------------------------
-# nondimensionalization
-# ---------------------------------------------------------------------------
-
-def test_nondim_basic_example():
-    p = _params(beta=0.1, s_minus=1.0, k_plus=0.2, k_minus=0.2)
-    sharp = ac.derive_sharp_params(p, 1.0, 1.0)  # rho = K/(2 beta) = 1
-    rep = ac.nondimensionalize(p, sharp)
-    assert rep.c_l == pytest.approx(0.1, abs=1e-15)
-    assert rep.x_tilde == pytest.approx(1.0, abs=1e-15)
-    assert rep.beta_star == pytest.approx(0.1, abs=1e-15)
-    assert rep.t_tilde == pytest.approx(1.0, abs=0)
-
-
-def test_nondim_unit_ratios():
-    p = _params(s_plus=2.0, s_minus=2.0, k_plus=1.0, k_minus=1.0)
-    sharp = ac.derive_sharp_params(p, 1.0, 1.0)
-    rep = ac.nondimensionalize(p, sharp)
-    assert rep.m_star == 1.0 and rep.s_star == 1.0 and rep.rho_star == 1.0
-
-
-def test_nondim_identity_random():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        beta = rng.uniform(0.01, 2.0)
-        p = _params(beta=beta,
-                    s_plus=rng.uniform(-5, -0.1), s_minus=rng.uniform(0.1, 5),
-                    k_plus=rng.uniform(0.1, 4), k_minus=rng.uniform(0.1, 4),
-                    m_plus=rng.uniform(0.1, 3), m_minus=rng.uniform(0.1, 3))
-        sharp = ac.derive_sharp_params(p, 1.0, 1.0)
-        rep = ac.nondimensionalize(p, sharp)
-        assert abs(rep.beta_star - rep.c_l / rep.x_tilde) < 1e-14
-
-
-def test_nondim_precondition():
-    p = _params(s_minus=-1.0)
-    sharp = ac.derive_sharp_params(p, 1.0, 1.0)
-    with pytest.raises(ac.ConfigurationError):
-        ac.nondimensionalize(p, sharp)

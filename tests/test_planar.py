@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import activech as ac
+from activech import planar
 
 SQRT2 = math.sqrt(2.0)
 
@@ -66,12 +67,12 @@ def test_mu_zero_slope_at_outer_walls(table1_sharp):
 
 
 def test_mu_domain_errors(table1_sharp):
-    with pytest.raises(ValueError):
-        ac.mu_planar(table1_sharp, "+", 0.3, 0.31)
-    with pytest.raises(ValueError):
-        ac.mu_planar(table1_sharp, "-", 0.3, 0.29)
-    with pytest.raises(ValueError):
-        ac.mu_planar(table1_sharp, "x", 0.3, 0.1)
+    # a ConfigurationError, which the CLI reports with exit code 1, not a traceback
+    for side, q, z in (("+", 1.2, 0.5), ("-", 0.0, 0.5),   # q outside (0, L)
+                       ("+", 0.3, 0.31), ("-", 0.3, 0.29),  # z off its side
+                       ("x", 0.3, 0.1)):
+        with pytest.raises(ac.ConfigurationError):
+            ac.mu_planar(table1_sharp, side, q, z)
 
 
 def test_mu_does_not_overflow_on_a_long_domain():
@@ -126,12 +127,13 @@ def test_mu_satisfies_bulk_ode(table1_sharp):
 # ---------------------------------------------------------------------------
 
 def test_velocity_symmetric_root_at_half(symmetric):
-    assert ac.velocity_H(symmetric, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert planar._front_velocity(symmetric)(0.5) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_velocity_strictly_decreasing(symmetric):
     q = np.linspace(0.01, 0.99, 99)
-    vals = np.array([ac.velocity_H(symmetric, float(x)) for x in q])
+    H = planar._front_velocity(symmetric)
+    vals = np.array([H(float(x)) for x in q])
     assert np.all(np.diff(vals) < 0.0)
 
 
@@ -145,34 +147,31 @@ def test_velocity_table1_value(table1_sharp):
     s_i = (SQRT2 / 2) * (k_p - k_m) + (2 * SQRT2 / 3) * (-1.0)
     expected = 0.5 * (d_p * lam_p * math.tanh(lam_p * 0.3)
                       + d_m * lam_m * math.tanh(lam_m * 0.7) + s_i)
-    assert ac.velocity_H(table1_sharp, 0.3) == pytest.approx(expected, abs=1e-14)
+    H = planar._front_velocity(table1_sharp)
+    assert H(0.3) == pytest.approx(expected, abs=1e-14)
     # frozen regression value
-    assert ac.velocity_H(table1_sharp, 0.3) == pytest.approx(0.8241515873201051, abs=1e-12)
-
-
-def test_velocity_domain_error(symmetric):
-    for q in (-0.1, 0.0, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            ac.velocity_H(symmetric, q)
+    assert H(0.3) == pytest.approx(0.8241515873201051, abs=1e-12)
 
 
 def test_find_stationary_symmetric(symmetric):
     q_star = ac.find_stationary(symmetric)
     assert q_star == pytest.approx(0.5, abs=1e-10)
-    assert abs(ac.velocity_H(symmetric, q_star)) < 1e-12
+    assert abs(planar._front_velocity(symmetric)(q_star)) < 1e-12
 
 
 def test_find_stationary_absent():
     # d+ > 0 and d- > 0 with S_I = 0: H > 0 everywhere
     sharp = make_sharp(s_plus=1.0, s_minus=1.0)
     q = np.linspace(0.01, 0.99, 50)
-    assert all(ac.velocity_H(sharp, float(x)) > 0 for x in q)
+    H = planar._front_velocity(sharp)
+    assert all(H(float(x)) > 0 for x in q)
     assert ac.find_stationary(sharp) is None
 
 
 def test_find_stationary_unique_sign_change(table1_sharp):
     q = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
-    vals = np.array([ac.velocity_H(table1_sharp, float(x)) for x in q])
+    H = planar._front_velocity(table1_sharp)
+    vals = np.array([H(float(x)) for x in q])
     assert int(np.sum(np.diff(np.sign(vals)) != 0)) == 1
 
 
@@ -360,7 +359,8 @@ def test_amplification_vs_velocity_derivative_random():
         q_star = ac.find_stationary(sharp)
         assert q_star is not None
         h = 1e-6
-        fd = (ac.velocity_H(sharp, q_star + h) - ac.velocity_H(sharp, q_star - h)) / (2 * h)
+        H = planar._front_velocity(sharp)
+        fd = (H(q_star + h) - H(q_star - h)) / (2 * h)
         row = ac.amplification(sharp, beta, q_star, ac.ModeIndex.of(0))
         assert row.factor / 2 == pytest.approx(fd, rel=1e-6, abs=1e-9)
         checked += 1
