@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, MeasurementError, NumericalError, TrackingError
 from .mesh import NodalField
-from .model import PhaseFieldParams, derive_sharp_params
+from .model import PhaseFieldParams, _require_count, derive_sharp_params
 from .output import OutputOptions
 from .planar import integrate_q
 from .solver import SolverConfig, max_mesh_size, run_members
@@ -65,6 +65,8 @@ def track_interface(field: NodalField, line_x2: float = 0.0,
     previous value an ambiguous profile is an error, as is a profile with
     no sign change at all.
     """
+    if not math.isfinite(line_x2):
+        raise ConfigurationError(f"line_x2 must be finite, got {line_x2}")
     mesh = field.mesh
     line = mesh.grid_view(field.values)
     if mesh.dim == 2:
@@ -87,6 +89,7 @@ def mode_amplitudes(field: NodalField, l_max: int) -> np.ndarray:
     h(x2_j) is the one zero crossing of lattice row j; the amplitudes are
     its trapezoid-weighted cosine projection.
     """
+    _require_count(l_max, "l_max", 0)
     mesh = field.mesh
     if mesh.dim != 2:
         raise MeasurementError("mode extraction requires a 2D mesh")

@@ -1,18 +1,25 @@
 """Run configuration: a flat INI-style document with typed sections.
 
 Sections: [domain], [discretization], [physics], [initial], [output],
-plus [converge] for ladder studies.  [physics] may give the rho pair or
-the K pair, not both, with defaults m = rho = r_c = 1 and L = 0.  The
-physics is stored once, as a :class:`activech.model.PhaseFieldParams` that
-holds K+-: a rho pair becomes K+- = beta psi''(+-1) rho+- = 2 beta rho+-, and
-only :func:`activech.model.derive_sharp_params` derives rho+- from K+-.
+plus [converge] for ladder studies.  Each key is declared once, with its type
+and default, in one table: :data:`SECTIONS` for every section but [initial],
+and :data:`activech.initial.KINDS`, per ``kind``, for [initial].  Every
+section is read through its table by the readers of :data:`_TYPES`: a number
+(a float or 1/(k*pi)), an integer, a boolean, text, comma-separated numbers or
+integers, a point "x, y" or points "x, y; x, y".  A number must be finite: nan
+and +-inf are rejected where they are read, by an error naming ``[section]
+key``.  Only the rules that relate fields are code: dim is 1 or 2, one length
+serves both sides of a 2D domain, the rho or the K pair, and the [converge]
+epsilons and dim.
 
-[initial] holds a ``kind`` and fields of that kind, each with the type and
-default that :data:`activech.initial.KINDS` gives it: a number (a float or
-1/(k*pi)), an integer, comma-separated numbers or integers, a point "x, y"
-or points "x, y; x, y".  There is no [output] seed (the field seed is
-[initial] seed) and no [physics] potential (the potential is the quartic).
-An inline comment starts with '#' only, since ';' separates points.
+[physics] may give the rho pair or the K pair, not both, with defaults
+m = rho = r_c = 1 and L = 0.  The physics is stored once, as a
+:class:`activech.model.PhaseFieldParams` that holds K+-: a rho pair becomes
+K+- = beta psi''(+-1) rho+- = 2 beta rho+-, and only
+:func:`activech.model.derive_sharp_params` derives rho+- from K+-.  There is
+no [output] seed (the field seed is [initial] seed) and no [physics] potential
+(the potential is the quartic).  An inline comment starts with '#' only, since
+';' separates points.
 """
 
 from __future__ import annotations
@@ -23,26 +30,24 @@ import re
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigurationError
-from .initial import KINDS, resolve_initial
-from .model import (
-    DoubleWellPotential,
-    MobilitySpec,
-    PhaseFieldParams,
-    ReactionSpec,
-    relaxation_rates,
-)
+from .initial import KINDS, REQUIRED, resolve_initial
+from .model import (DoubleWellPotential, MobilitySpec, PhaseFieldParams, ReactionSpec,
+                    relaxation_rates)
 
 _EPS_SYMBOLIC = re.compile(r"^\s*1\s*/\s*\(\s*([0-9]*\.?[0-9]+)\s*\*\s*pi\s*\)\s*$")
 _BOOLEANS = {"true": True, "yes": True, "on": True, "false": False, "no": False, "off": False}
 
 
 def parse_epsilon(text: str) -> float:
-    """Accepts a float literal or the symbolic form '1/(k*pi)'."""
+    """Accepts a finite float literal or the symbolic form '1/(k*pi)'."""
     match = _EPS_SYMBOLIC.match(text)
     try:
-        return 1.0 / (float(match.group(1)) * math.pi) if match else float(text)
+        value = 1.0 / (float(match.group(1)) * math.pi) if match else float(text)
     except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"cannot parse epsilon value {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigurationError(f"cannot parse epsilon value {text!r} as a finite number")
+    return value
 
 
 @dataclass
@@ -79,16 +84,6 @@ class RunConfig:
         return asdict(self)
 
 
-_KNOWN = {
-    "domain": {"dim", "lengths"},
-    "discretization": {"epsilon", "h", "tau", "t_end"},
-    "physics": {"beta", "s_plus", "s_minus", "rho_plus", "rho_minus", "k_plus",
-                "k_minus", "l_coef", "r_c", "m_plus", "m_minus"},
-    "output": {"directory", "stride", "vtk", "checkpoint", "track_line", "modes_lmax"},
-    "converge": {"epsilons", "dim"},
-}
-
-
 def _items(read, sep=","):
     """A reader of ``sep``-separated values, each read by ``read``."""
     return lambda text: tuple(read(part) for part in text.split(sep) if part.strip())
@@ -99,33 +94,59 @@ def _point(text: str) -> tuple[float, float]:
     return x, y
 
 
-# what a typed field accepts, and how it is read
-_NUMBER = ("a number or 1/(k*pi)", parse_epsilon)
-_NUMBERS = ("comma-separated numbers", _items(parse_epsilon))
-_INTEGER = ("an integer", int)
-_BOOLEAN = ("one of true/false/yes/no/on/off", lambda text: _BOOLEANS[text.lower()])
-# the field types of initial.KINDS
-_INITIAL_TYPES = {"number": _NUMBER, "integer": _INTEGER, "numbers": _NUMBERS,
-                  "integers": ("comma-separated integers", _items(int)),
-                  "point": ("two comma-separated numbers x, y", _point),
-                  "points": ("points x, y separated by ';'", _items(_point, ";"))}
+#: Each field type of :data:`SECTIONS` and :data:`activech.initial.KINDS`: what
+#: it accepts, and how it is read.
+_TYPES = {
+    "number": ("a finite number or 1/(k*pi)", parse_epsilon),
+    "numbers": ("comma-separated finite numbers", _items(parse_epsilon)),
+    "integer": ("an integer", int),
+    "integers": ("comma-separated integers", _items(int)),
+    "point": ("two comma-separated finite numbers x, y", _point),
+    "points": ("points x, y of finite numbers separated by ';'", _items(_point, ";")),
+    "boolean": ("one of true/false/yes/no/on/off", lambda text: _BOOLEANS[text.lower()]),
+    "text": ("text", str),
+}
+
+#: The fields of every section but [initial]: section -> key -> (type, default),
+#: as in :data:`activech.initial.KINDS`.  A REQUIRED field has no default; the
+#: k pair's default applies when [physics] gives a k, the rho pair's otherwise.
+SECTIONS = {
+    "domain": {"dim": ("integer", 1), "lengths": ("numbers", (1.0,))},
+    "discretization": {"epsilon": ("number", REQUIRED), "h": ("number", None),
+                       "tau": ("number", 1e-3), "t_end": ("number", 1.0)},
+    "physics": {"beta": ("number", REQUIRED), "s_plus": ("number", REQUIRED),
+                "s_minus": ("number", REQUIRED), "rho_plus": ("number", 1.0),
+                "rho_minus": ("number", 1.0), "k_plus": ("number", 0.0),
+                "k_minus": ("number", 0.0), "l_coef": ("number", 0.0),
+                "r_c": ("number", 1.0), "m_plus": ("number", 1.0), "m_minus": ("number", 1.0)},
+    "output": {"directory": ("text", None), "stride": ("integer", 10),
+               "vtk": ("boolean", True), "checkpoint": ("boolean", True),
+               "track_line": ("number", 0.0), "modes_lmax": ("integer", None)},
+    "converge": {"epsilons": ("numbers", ()), "dim": ("integer", 1)},
+}
 
 
-def _get(sections: dict, section: str, key: str, kind=None, default=None, required=False):
-    """``[section] key`` read as ``kind`` (text if None), or ``default`` when absent."""
-    value = sections.get(section, {}).get(key)
-    if value is None:
-        if required:
+def _read(section: str, key: str, type_: str, raw: str | None, default=REQUIRED):
+    """``[section] key``'s raw text read as ``type_``, or ``default`` if it is absent."""
+    if raw is None:
+        if default is REQUIRED:
             raise ConfigurationError(f"[{section}] {key}: required field is missing")
         return default
-    if kind is None:
-        return value
-    expected, read = kind
+    expected, read = _TYPES[type_]
     try:
-        return read(value.strip())
-    except (ValueError, LookupError, ConfigurationError):
+        return read(raw.strip())
+    except (ValueError, LookupError):  # a ConfigurationError is a ValueError
         raise ConfigurationError(
-            f"[{section}] {key}: expected {expected}, got {value!r}") from None
+            f"[{section}] {key}: expected {expected}, got {raw!r}") from None
+
+
+def _read_section(section: str, fields: dict, given: dict) -> dict:
+    """Each of ``[section]``'s ``fields``, read from ``given``'s raw text or at its default."""
+    for key in given:
+        if key not in fields:
+            raise ConfigurationError(f"[{section}] {key}: unknown field")
+    return {key: _read(section, key, type_, given.get(key), default)
+            for key, (type_, default) in fields.items()}
 
 
 def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfig:
@@ -147,80 +168,48 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> RunConfi
             raise ConfigurationError(f"override {dotted!r} must be 'section.key'")
         sec, key = dotted.lower().split(".", 1)
         sections.setdefault(sec, {})[key] = raw
-
-    for section, keys in sections.items():
-        if section == "initial":
-            continue
-        if section not in _KNOWN:
+    for section in sections:
+        if section not in SECTIONS and section != "initial":
             raise ConfigurationError(f"unknown configuration section [{section}]")
-        for key in keys:
-            if key not in _KNOWN[section]:
-                raise ConfigurationError(f"[{section}] {key}: unknown field")
+    domain, disc, phys, out, conv = (_read_section(section, fields, sections.get(section, {}))
+                                     for section, fields in SECTIONS.items())
 
-    dim = _get(sections, "domain", "dim", _INTEGER, 1)
+    dim, lengths = domain["dim"], domain["lengths"]
     if dim not in (1, 2):
         raise ConfigurationError(f"[domain] dim: must be 1 or 2, got {dim}")
-    lengths = _get(sections, "domain", "lengths", _NUMBERS, (1.0,))
     if len(lengths) == 1 and dim == 2:
         lengths = (lengths[0], lengths[0])
     if len(lengths) != dim:
         raise ConfigurationError(f"[domain] lengths: expected {dim} entries, got {lengths}")
 
-    epsilon = _get(sections, "discretization", "epsilon", _NUMBER, required=True)
-    h = _get(sections, "discretization", "h", _NUMBER)
-    tau = _get(sections, "discretization", "tau", _NUMBER, 1e-3)
-    t_end = _get(sections, "discretization", "t_end", _NUMBER, 1.0)
-
-    phys = sections.get("physics", {})
-    beta = _get(sections, "physics", "beta", _NUMBER, required=True)
-    s_plus = _get(sections, "physics", "s_plus", _NUMBER, required=True)
-    s_minus = _get(sections, "physics", "s_minus", _NUMBER, required=True)
-
-    has_rho = "rho_plus" in phys or "rho_minus" in phys
-    has_k = "k_plus" in phys or "k_minus" in phys
-    if has_rho and has_k:
+    given = sections.get("physics", {})
+    has_k = "k_plus" in given or "k_minus" in given
+    if has_k and ("rho_plus" in given or "rho_minus" in given):
         raise ConfigurationError(
             "[physics]: give either rho_plus/rho_minus or k_plus/k_minus, not both")
-    if has_k:
-        k_plus = _get(sections, "physics", "k_plus", _NUMBER, 0.0)
-        k_minus = _get(sections, "physics", "k_minus", _NUMBER, 0.0)
-    else:
-        k_plus, k_minus = relaxation_rates(
-            beta, _get(sections, "physics", "rho_plus", _NUMBER, 1.0),
-            _get(sections, "physics", "rho_minus", _NUMBER, 1.0))
-    reaction = ReactionSpec(s_plus, s_minus, k_plus, k_minus,
-                            l_coef=_get(sections, "physics", "l_coef", _NUMBER, 0.0),
-                            r_c=_get(sections, "physics", "r_c", _NUMBER, 1.0))
-    mobility = MobilitySpec(_get(sections, "physics", "m_plus", _NUMBER, 1.0),
-                            _get(sections, "physics", "m_minus", _NUMBER, 1.0))
-    params = PhaseFieldParams(beta, epsilon, DoubleWellPotential.quartic(), reaction, mobility)
+    k_pair = ((phys["k_plus"], phys["k_minus"]) if has_k else
+              relaxation_rates(phys["beta"], phys["rho_plus"], phys["rho_minus"]))
+    reaction = ReactionSpec(phys["s_plus"], phys["s_minus"], *k_pair,
+                            l_coef=phys["l_coef"], r_c=phys["r_c"])
+    mobility = MobilitySpec(phys["m_plus"], phys["m_minus"])
+    params = PhaseFieldParams(phys["beta"], disc["epsilon"], DoubleWellPotential.quartic(),
+                              reaction, mobility)
 
-    init_kind = _get(sections, "initial", "kind", required=True).strip()
-    types = {name: _INITIAL_TYPES[type_]
-             for name, (type_, _) in KINDS.get(init_kind, {}).items()}
+    given = sections.get("initial", {})
+    init_kind = _read("initial", "kind", "text", given.get("kind"))
+    fields = KINDS.get(init_kind, {})
     # an unknown kind or field arrives as text, and resolve_initial rejects it
     init_params = resolve_initial(init_kind, {
-        key: _get(sections, "initial", key, types.get(key))
-        for key in sections.get("initial", {}) if key != "kind"})
+        key: _read("initial", key, fields.get(key, ("text",))[0], raw)
+        for key, raw in given.items() if key != "kind"})
 
-    directory = _get(sections, "output", "directory")
-    stride = _get(sections, "output", "stride", _INTEGER, 10)
-    vtk = _get(sections, "output", "vtk", _BOOLEAN, True)
-    checkpoint = _get(sections, "output", "checkpoint", _BOOLEAN, True)
-    track_line = _get(sections, "output", "track_line", _NUMBER, 0.0)
-    modes_lmax = _get(sections, "output", "modes_lmax", _INTEGER)
-
-    converge_epsilons = list(_get(sections, "converge", "epsilons", _NUMBERS, ()))
-    if not all(0.0 < eps < math.inf for eps in converge_epsilons):
+    if not all(eps > 0.0 for eps in conv["epsilons"]):
         raise ConfigurationError(
-            f"[converge] epsilons: must be positive and finite, got {converge_epsilons}")
-    converge_dim = _get(sections, "converge", "dim", _INTEGER, 1)
-    if converge_dim not in (1, 2):
-        raise ConfigurationError(f"[converge] dim: must be 1 or 2, got {converge_dim}")
+            f"[converge] epsilons: must be positive, got {list(conv['epsilons'])}")
+    if conv["dim"] not in (1, 2):
+        raise ConfigurationError(f"[converge] dim: must be 1 or 2, got {conv['dim']}")
 
     return RunConfig(
-        dim=dim, lengths=lengths, h=h, tau=tau, t_end=t_end, params=params,
-        init_kind=init_kind, init_params=init_params, directory=directory, stride=stride,
-        vtk=vtk, checkpoint=checkpoint, track_line=track_line, modes_lmax=modes_lmax,
-        converge_epsilons=converge_epsilons, converge_dim=converge_dim,
-    )
+        dim=dim, lengths=lengths, h=disc["h"], tau=disc["tau"], t_end=disc["t_end"],
+        params=params, init_kind=init_kind, init_params=init_params, **out,
+        converge_epsilons=list(conv["epsilons"]), converge_dim=conv["dim"])

@@ -14,9 +14,9 @@ SQRT2 = math.sqrt(2.0)
 
 REQUIRED = object()
 #: The fields of each initial-condition kind: name -> (type, default), where a
-#: REQUIRED field has no default.  Types: "number", "integer", "numbers" and
-#: "integers" (comma-separated), "point" (two numbers x, y) and "points"
-#: (';'-separated points).
+#: REQUIRED field has no default.  Types, read as activech.config reads its
+#: own table: "number", "integer", "numbers" and "integers" (comma-separated),
+#: "point" (two numbers x, y) and "points" (';'-separated points).
 KINDS = {
     "constant": {"value": ("number", REQUIRED)},
     "flat_front": {"q0": ("number", REQUIRED), "modes": ("integers", ()),

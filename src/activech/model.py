@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,22 @@ def _require_finite(spec, names, positive: bool = False):
         if not math.isfinite(value) or (positive and value <= 0.0):
             requirement = "positive and finite" if positive else "finite"
             raise ConfigurationError(f"{name} must be {requirement}, got {value}")
+
+
+def _require_count(value, name: str, least: int):
+    """Raise ConfigurationError unless ``value`` is an integer >= ``least``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value}")
+
+
+def _step_count(t_end: float, dt: float, dt_name: str) -> int:
+    """The number of steps of ``dt`` to ``t_end``, a finite multiple >= 0 of ``dt``."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):   # int(round(nan)) would raise ValueError
+        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
+    n_steps = int(round(t_end / dt))
+    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ConfigurationError(f"t_end={t_end} is not an integer multiple of {dt_name}={dt}")
+    return n_steps
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from . import solver
 from .errors import ConfigurationError, NumericalError
 from .mesh import StructuredMesh
-from .model import _require_finite
+from .model import _require_count, _require_finite
 
 CHECKPOINT_MAGIC = b"ACHCKPT1"
 _CHECKPOINT_HEADER = struct.Struct("<8sIIIdQ28x")  # magic, dim, n1, n2, t, step (64 bytes)
@@ -146,10 +146,9 @@ class OutputOptions:
     manifest_extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ConfigurationError("output stride must be >= 1")
-        if self.modes_lmax is not None and self.modes_lmax < 0:
-            raise ConfigurationError(f"modes_lmax must be >= 0, got {self.modes_lmax}")
+        _require_count(self.stride, "output stride", 1)
+        if self.modes_lmax is not None:
+            _require_count(self.modes_lmax, "modes_lmax", 0)
         _require_finite(self, ("track_line",))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import GAMMA_QUARTIC, SharpParams
+from .model import GAMMA_QUARTIC, SharpParams, _require_count, _step_count
 
 #: Bisection for the stationary front stops once |H| falls below STATIONARY_TOL.
 STATIONARY_TOL = 1e-12
@@ -163,20 +163,14 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
     once a step returns its input bit for bit every later step does too: the
     loop stops there and fills the remaining samples with that q.
     """
-    if output_stride < 1:
-        raise ConfigurationError("output_stride must be >= 1")
+    _require_count(output_stride, "output_stride", 1)
     L = sharp.length_L
     if not (0.0 < q0 < L):
         raise ConfigurationError(f"q0 must lie in (0, {L}), got {q0}")
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
-    if not (math.isfinite(t_end) and t_end >= 0.0):   # int(round(nan)) would raise ValueError
-        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
+    n_steps = _step_count(t_end, dt, "dt")
     H = _front_velocity(sharp)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigurationError(
-            f"t_end={t_end} is not an integer multiple of dt={dt}")
 
     times = [0.0]
     qs = [q0]
@@ -233,6 +227,8 @@ def amplification(sharp: SharpParams, beta: float, q: float, mode: ModeIndex) ->
     L, Lt = sharp.length_L, sharp.width_Lt
     if not (0.0 < q < L):
         raise ConfigurationError(f"front position must lie in (0, {L}), got {q}")
+    if not math.isfinite(beta):
+        raise ConfigurationError(f"beta must be finite, got {beta}")
     k_transverse = math.pi**2 * mode.l_sq / Lt**2  # equals -zeta/Lt^2 >= 0
     gamma_plus = math.sqrt(sharp.lambda_plus**2 + k_transverse)
     gamma_minus = math.sqrt(sharp.lambda_minus**2 + k_transverse)

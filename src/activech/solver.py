@@ -92,7 +92,8 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ResolutionWarning, StepFailureError
 from .mesh import (NodalField, StructuredMesh, band_pattern, build_mesh, element_means,
                    stencil_bands, stiffness_matrix)
-from .model import PhaseFieldParams, _require_finite, ddpsi, dpsi, mobility_m, psi, source_S
+from .model import (PhaseFieldParams, _require_finite, _step_count, ddpsi, dpsi, mobility_m, psi,
+                    source_S)
 from .initial import init_field
 
 if TYPE_CHECKING:
@@ -624,8 +625,7 @@ def run_members(members, cfg: SolverConfig, t_end: float, outputs=None) -> list[
     """
     from . import output as outmod
 
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ConfigurationError(f"t_end must be finite and >= 0, got {t_end}")
+    n_steps = _step_count(t_end, cfg.tau, "tau")
     opts = outputs if outputs is not None else outmod.OutputOptions()
     if opts.directory and len(members) != 1:
         raise ConfigurationError("run files are written for a single member only")
@@ -644,11 +644,6 @@ def run_members(members, cfg: SolverConfig, t_end: float, outputs=None) -> list[
             phi0 = init_field(mesh, kind, init_params, p.epsilon)
         series.append(_Series(p, mesh, opts))
         phi0s.append(phi0.values)
-
-    n_steps = int(round(t_end / cfg.tau))
-    if abs(n_steps * cfg.tau - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigurationError(
-            f"t_end={t_end} is not an integer multiple of tau={cfg.tau}")
 
     stepper = Stepper([run.mesh for run in series], [run.p for run in series], cfg)
     phi = np.concatenate(phi0s)

@@ -215,6 +215,15 @@ def test_track_interface_2d_line_selection(quartic):
     assert q_top == pytest.approx(0.4, abs=0.01)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("line_x2", [math.nan, math.inf, -math.inf])
+def test_track_interface_rejects_a_non_finite_line(quartic, dim, line_x2):
+    mesh = ac.build_mesh(dim, (1.0,) * dim, 1 / 16)
+    fld = ac.init_field(mesh, "flat_front", {"q0": 0.5}, 1 / (8 * math.pi))
+    with pytest.raises(ac.ConfigurationError, match="line_x2 must be finite"):
+        ac.track_interface(fld, line_x2=line_x2)
+
+
 # ---------------------------------------------------------------------------
 # mode amplitudes
 # ---------------------------------------------------------------------------
@@ -264,6 +273,14 @@ def test_mode_amplitudes_requires_crossings(quartic):
     fld = ac.init_field(mesh, "constant", {"value": 1.0}, 0.1)
     with pytest.raises(ac.MeasurementError):
         ac.mode_amplitudes(fld, 4)
+
+
+@pytest.mark.parametrize("l_max", [-1, 1.5])
+def test_mode_amplitudes_rejects_an_l_max_that_is_not_a_count(quartic, l_max):
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 16)
+    fld = _synthetic_front(mesh, 1 / (8 * math.pi), 0.5, [])
+    with pytest.raises(ac.ConfigurationError, match="l_max must be an integer >= 0"):
+        ac.mode_amplitudes(fld, l_max)
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,8 @@ def test_converge_epsilons_must_be_positive_and_finite(bad):
 [converge]
 epsilons = 1/(4*pi), {bad}
 """
-    with pytest.raises(ac.ConfigurationError, match=r"\[converge\] epsilons: must be positive"):
+    with pytest.raises(ac.ConfigurationError,
+                       match=r"\[converge\] epsilons: (must be positive|expected)"):
         ac.parse_config(doc)
 
 
@@ -220,6 +221,25 @@ dim = {dim}
 """
     with pytest.raises(ac.ConfigurationError, match=r"\[converge\] dim"):
         ac.parse_config(doc)
+
+
+# a non-finite entry of each number type, as written in a configuration
+NONFINITE = {"number": "{}", "numbers": "1, {}", "point": "0.5, {}",
+             "points": "0.5, 0.5; 0.5, {}"}
+NUMBER_FIELDS = (
+    [({}, section, key, type_) for section, fields in ac.config.SECTIONS.items()
+     for key, (type_, _) in fields.items() if type_ in NONFINITE]
+    + [({"initial.kind": kind}, "initial", key, type_) for kind, fields in ac.initial.KINDS.items()
+       for key, (type_, _) in fields.items() if type_ in NONFINITE])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("base, section, key, type_", NUMBER_FIELDS,
+                         ids=[f"{b.get('initial.kind', s)}.{k}" for b, s, k, _ in NUMBER_FIELDS])
+def test_every_number_field_rejects_non_finite_values(base, section, key, type_, bad):
+    overrides = {**base, f"{section}.{key}": NONFINITE[type_].format(bad)}
+    with pytest.raises(ac.ConfigurationError, match=rf"^\[{section}\] {key}: expected .*finite"):
+        ac.parse_config(MINIMAL, overrides)
 
 
 def test_typed_fields_accept_their_literals():

@@ -161,6 +161,15 @@ def test_diagnostics_with_modes(tmp_path):
     assert lines[1].split(",")[-1] == "0.20000000000000001"
 
 
+@pytest.mark.parametrize("options", [
+    {"stride": math.nan}, {"stride": 2.5}, {"stride": 10.0}, {"stride": 0},
+    {"modes_lmax": math.nan}, {"modes_lmax": 1.5}, {"modes_lmax": -1},
+])
+def test_output_options_reject_a_count_that_is_not_an_integer_in_range(options):
+    with pytest.raises(ac.ConfigurationError, match="must be an integer >="):
+        OutputOptions(**options)
+
+
 def test_csv_uses_lf_and_dot(tmp_path, quartic):
     p = small_params(quartic)
     opts = OutputOptions(directory=str(tmp_path / "run"), stride=5, vtk=False,

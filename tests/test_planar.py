@@ -232,6 +232,12 @@ def test_integrate_rejects_invalid_input(symmetric, q0, dt, t_end, stride):
         ac.integrate_q(symmetric, q0, dt, t_end, output_stride=stride)
 
 
+@pytest.mark.parametrize("stride", [math.nan, 2.5, 1.0])
+def test_integrate_rejects_an_output_stride_that_is_not_an_integer(symmetric, stride):
+    with pytest.raises(ac.ConfigurationError, match="output_stride must be an integer >= 1"):
+        ac.integrate_q(symmetric, 0.5, 1e-3, 0.1, output_stride=stride)
+
+
 def _integrate_q_reference(sharp, q0, dt, t_end, output_stride=1):
     """The RK4 loop written out, stepping to the end with no fixed-point stop."""
     H = ac.planar._front_velocity(sharp)
@@ -331,6 +337,12 @@ def test_amplification_matches_normalized_formula(L, Lt):
         row = ac.amplification(sharp, beta, L / 2, mode)
         expected = _amplification_normalized(beta, L, Lt, mode)
         assert row.factor == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_amplification_rejects_a_non_finite_beta(symmetric, beta):
+    with pytest.raises(ac.ConfigurationError, match="beta must be finite"):
+        ac.amplification(symmetric, beta, 0.5, ac.ModeIndex.of(2))
 
 
 def test_amplification_mode_selection():
