@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import convergence_study, fit_growth_rate, growth_window
-from .config import parse_config
+from .config import parse_config, parse_epsilon
 from .errors import ConfigurationError, NumericalError
 from .model import (
     DoubleWellPotential,
@@ -70,6 +70,11 @@ def _physics_flags(sub):
 
 
 def _params_from_flags(args, epsilon=0.01) -> PhaseFieldParams:
+    if not 0.0 < args.beta < math.inf:   # checked before K+- = 2 beta rho+-, to name the flag
+        raise ConfigurationError(f"--beta must be positive and finite, got {args.beta}")
+    for flag in ("rhoplus", "rhominus"):
+        if not math.isfinite(getattr(args, flag)):
+            raise ConfigurationError(f"--{flag} must be finite, got {getattr(args, flag)}")
     k_plus, k_minus = relaxation_rates(args.beta, args.rhoplus, args.rhominus)
     reaction = ReactionSpec(s_plus=args.splus, s_minus=args.sminus, k_plus=k_plus,
                             k_minus=k_minus, l_coef=args.lcoef, r_c=args.rc)
@@ -245,7 +250,7 @@ def _cmd_modes(args) -> int:
 
 def _parse_sweep(flag: str, text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [parse_epsilon(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise ConfigurationError(
             f"{flag}: expected comma-separated numbers, got {text!r}") from None

@@ -70,7 +70,11 @@ step in lock-step as one block-diagonal system: one factorization and
 back-solve per Newton iteration serve them all.  Each member's residual and
 target are its own, a member that meets its target at x0 keeps x0, and a
 converged member is frozen, so in 1D its iterates are bit-identical to its
-own run's.
+own run's.  Each member norm (of r1, r2, a solve's rhs and rhs - S x) comes
+from one pass, ``np.sqrt(np.add.reduceat(r * r, starts))`` from each member's
+first node, also for one member: ``reduceat`` sums in node order whatever the
+offset, so a member's norms are its own run's bit for bit (a BLAS dot need not
+be).  Nothing is masked until a member has frozen.
 
 SciPy is imported where a matrix is first built or factored, not with the
 package, so the sharp-interface engine runs on NumPy alone; :func:`splu`
@@ -237,13 +241,14 @@ class SchurOperator:
 
     Several members (``mesh`` and ``params`` as sequences) give the block
     diagonal of their operators: the CSC arrays stack each member's
-    :class:`_Block`, and ``slices[i]`` holds member i's nodes.
+    :class:`_Block`; member i has ``sizes[i]`` nodes ``slices[i]`` from ``starts[i]``.
     """
 
     def __init__(self, mesh, params):
         self.meshes, params = _members(mesh, params)
         ends = list(itertools.accumulate(m.n_nodes for m in self.meshes))
         self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        self.starts, self.sizes = np.array([0] + ends[:-1]), [m.n_nodes for m in self.meshes]
         self._params = params
         self.S = None
         self._lu = None        # SuperLU of the current S or of an earlier one
@@ -252,6 +257,10 @@ class SchurOperator:
         self._krylov = None    # GMRES's bases V and Z, allocated on first use
         self.counts = dict.fromkeys(   # SuperLU calls, and factors dropped for their rate
             ("factor_float32", "factor_float64", "backsolve", "given_up"), 0)
+
+    def norms(self, r: np.ndarray) -> list[float]:
+        """Each member's 2-norm of ``r``, summed in node order (see the module docstring)."""
+        return np.sqrt(np.add.reduceat(r * r, self.starts)).tolist()
 
     def _build(self):
         from scipy import sparse
@@ -389,12 +398,11 @@ class SchurOperator:
         rate, or when the true residual misses a target, and refactorizes in
         float64 when refinement against a fresh float32 factor fails that way too.
         """
-        # np.linalg.norm's own expression, member by member
-        norms = [math.sqrt(rhs[s] @ rhs[s]) for s in self.slices]
+        norms = self.norms(rhs)
         if not any(norms):
             return np.zeros_like(rhs)
         tols = [max(LINEAR_TOL, NEWTON_TOL / (10.0 * n)) if n else math.inf for n in norms]
-        S, sizes = self.S, [s.stop - s.start for s in self.slices]
+        S = self.S
 
         def refine():
             lu, dtype = self._lu, np.float32 if self._single else np.float64
@@ -405,18 +413,16 @@ class SchurOperator:
 
             x = back_solve(rhs).astype(np.float64, copy=False)
             r = rhs - S @ x
-            rels = [math.sqrt(r[s] @ r[s]) / n if n else 0.0 for s, n in zip(self.slices, norms)]
+            rels = [e / n if n else 0.0 for e, n in zip(self.norms(r), norms)]
             live = [rel > tol and math.isfinite(rel) for rel, tol in zip(rels, tols)]
             if any(live):
                 # S and the factor are block diagonal, so a frozen member's rows stay zero;
                 # the joint residual bounds each member's, so the smallest target serves all
-                r0 = r if all(live) else np.where(np.repeat(live, sizes), r, 0.0)
+                r0 = r if all(live) else np.where(np.repeat(live, self.sizes), r, 0.0)
                 target = min(tol * n for tol, n, on in zip(tols, norms, live) if on)
                 x = x + self._gmres(r0, target, back_solve, dtype)
-                r = rhs - S @ x
-                for i, s in enumerate(self.slices):
-                    if live[i]:
-                        rels[i] = math.sqrt(r[s] @ r[s]) / norms[i]
+                rels = [e / n if on else rel
+                        for e, n, rel, on in zip(self.norms(rhs - S @ x), norms, rels, live)]
             # the first member above its target, if any (a NaN residual is a stall too)
             return x, next(((rel, tol) for rel, tol in zip(rels, tols) if not rel <= tol), None)
 
@@ -507,10 +513,9 @@ class Stepper:
         while True:
             r1 = w_tau * phi + Km @ mu - rhs_mass
             r2 = c_grad * (K @ phi) + c_well * dpsi(phi) - w * mu
-            for i, s in enumerate(self.slices):
+            for i, (a, b) in enumerate(zip(schur.norms(r1), schur.norms(r2))):
                 if live[i]:
-                    histories[i].append(math.hypot(math.sqrt(r1[s] @ r1[s]),
-                                                   math.sqrt(r2[s] @ r2[s])))
+                    histories[i].append(math.hypot(a, b))
                     live[i] = not histories[i][-1] < NEWTON_TOL
             if not any(live):
                 break
@@ -522,15 +527,16 @@ class Stepper:
                     step=step_index, residuals=residuals)
             ddpsi_phi = ddpsi(phi)
             schur.assemble(ddpsi_phi, w_tau)
-            nodes = np.repeat(live, [s.stop - s.start for s in self.slices])
+            rhs = -(r1 + Km @ (r2 / w))
+            nodes = True if all(live) else np.repeat(live, schur.sizes)   # True: no mask
             try:
-                dphi = schur.solve(np.where(nodes, -(r1 + Km @ (r2 / w)), 0.0))
+                dphi = schur.solve(rhs if nodes is True else np.where(nodes, rhs, 0.0))
             except NumericalError as exc:
                 raise StepFailureError(str(exc), step=step_index, residuals=residuals) from exc
             solves += 1
             dmu = (c_grad * (K @ dphi) + c_well * ddpsi_phi * dphi + r2) / w
-            phi = np.where(nodes, phi + dphi, phi)
-            mu = np.where(nodes, mu + dmu, mu)
+            np.add(phi, dphi, out=phi, where=nodes)   # a frozen member keeps its iterate
+            np.add(mu, dmu, out=mu, where=nodes)
         return phi, mu, StepReport(iterations=solves, histories=histories)
 
 

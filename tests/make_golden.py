@@ -38,8 +38,11 @@ COMMANDS = {
     "sharp_ode.csv": ["sharp-ode", *_PHYSICS, "--q0", "0.3", "--dt", "1e-4", "--t-end", "0.2"],
     # the two-rung 1D ladder of the CI console-script step: eps = 1/(4 pi), 1/(8 pi)
     "converge_1d.csv": ["converge", "--config", str(GOLDEN / "converge_1d.cfg")],
+    # the paper's five-rung W1D ladder, eps = 1/(2^k pi) for k = 1..5, to t = 0.2: the
+    # setting of the CI console-script step's ladder.cfg and of the ladder1d benchmark
+    "converge_w1d.csv": ["converge", "--config", str(GOLDEN / "converge_w1d.cfg")],
 }
-FROM_DIR = {"converge_1d.csv": "convergence.csv"}
+FROM_DIR = {"converge_1d.csv": "convergence.csv", "converge_w1d.csv": "convergence.csv"}
 CHECK = "check.txt"
 
 

@@ -291,6 +291,20 @@ def test_zero_rho_exit_code(tmp_path, capsys, command, flag):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["stability", "sharp-ode"])
+@pytest.mark.parametrize("flag, value, condition", [
+    ("--beta", "nan", "positive and finite"), ("--beta", "inf", "positive and finite"),
+    ("--beta", "0", "positive and finite"), ("--rhoplus", "nan", "finite"),
+    ("--rhominus", "-inf", "finite")])
+def test_nonfinite_physics_flag_is_named(tmp_path, capsys, command, flag, value, condition):
+    # beta and rho are checked before K+- = 2 beta rho+- is formed, so the error names the flag
+    out = tmp_path / "x.csv"
+    flags = {"--beta": "0.1", "--splus": "-1", "--sminus": "1", flag: value}
+    assert main([command, *(f"{k}={v}" for k, v in flags.items()), "--out", str(out)]) == 1
+    assert f"configuration error: {flag} must be {condition}, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sharp_ode_stationary_is_constant(tmp_path):
     out = tmp_path / "ode.csv"
     code = main(["sharp-ode", "--beta", "0.1", "--splus", "-1", "--sminus", "1",
@@ -371,6 +385,16 @@ def test_si_table_rejects_malformed_sweep(tmp_path, capsys):
     out = tmp_path / "si.csv"
     assert main(["si-table", "--kplus", "abc", "--out", str(out)]) == 1
     assert "configuration error: --kplus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--rc", "--kplus", "--kminus", "--lcoef"])
+@pytest.mark.parametrize("value", ["nan", "0.5,inf", "-inf"])
+def test_si_table_rejects_a_nonfinite_sweep_value(tmp_path, capsys, flag, value):
+    out = tmp_path / "si.csv"
+    assert main(["si-table", f"{flag}={value}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {flag}: expected comma-separated numbers, got {value!r}" in err
     assert not out.exists()
 
 

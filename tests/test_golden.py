@@ -4,8 +4,9 @@
 because NumPy and SciPy builds may round differently: within 1e-12
 relative, and within 1e-14 absolute where the stored value is a zero, which
 S_I at K+ = K- and L = 0 holds only up to rounding (|value| <= 1e-14).  The
-one diffuse output, the two-rung 1D ``converge`` ladder, needs no wider
-tolerance: each 1D Newton iteration solves with a fresh float64 factor.
+diffuse outputs, the two-rung 1D ``converge`` ladder and the five-rung W1D
+ladder, need no wider tolerance: each 1D Newton iteration solves with a
+fresh float64 factor.
 """
 
 import csv

@@ -3,6 +3,8 @@
 import math
 import types
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,7 +341,8 @@ def _reference_step(op, stepper, phi_old, mu_old):
     while True:
         r1 = (w / tau) * phi + Km @ mu - rhs_mass
         r2 = beta * eps * (K @ phi) + (beta / eps) * w * ac.dpsi(phi) - w * mu
-        residuals.append(math.hypot(float(np.linalg.norm(r1)), float(np.linalg.norm(r2))))
+        # the solver's member-norm rule: a sequential sum of squares from the first node
+        residuals.append(math.hypot(*(math.sqrt(np.add.reduceat(r * r, [0])[0]) for r in (r1, r2))))
         if residuals[-1] < solver.NEWTON_TOL:
             return phi, mu, residuals
         assert len(residuals) <= solver.NEWTON_MAX
@@ -397,6 +400,19 @@ def test_lock_step_members_are_bit_identical_to_their_own_steps(quartic):
     counts = joint.schur.counts
     assert counts["factor_float64"] == counts["backsolve"] < sum(
         stepper.schur.counts["backsolve"] for stepper in alone)
+
+
+def test_the_w1d_ladder_factors_once_per_joint_newton_iteration():
+    # the five-rung ladder of tests/golden/converge_w1d.cfg, the ladder1d benchmark's
+    # setting: 200 lock-step steps, each one fresh float64 factor and one back-solve per
+    # joint Newton iteration, never float32 and never GMRES
+    cfg = ac.parse_config((Path(__file__).parent / "golden" / "converge_w1d.cfg").read_text())
+    rungs = [(replace(cfg.params, epsilon=eps), (1, cfg.lengths, ac.auto_mesh_size(eps)),
+              (cfg.init_kind, cfg.init_params)) for eps in cfg.converge_epsilons]
+    records = solver.run_members(rungs, ac.SolverConfig(tau=cfg.tau), cfg.t_end)
+    assert [len(r.newton_iters) for r in records] == [200] * 5
+    assert records[0].solver_counts == {"factor_float32": 0, "factor_float64": 401,
+                                        "backsolve": 401, "given_up": 0}
 
 
 def test_joint_solve_stops_each_member_at_its_own_target(quartic):
