@@ -66,10 +66,9 @@ def _physics_flags(sub):
     sub.add_argument("--lcoef", type=float, default=0.0, help="interface production L")
     sub.add_argument("--rc", type=float, default=1.0)
     sub.add_argument("--L", type=float, default=1.0, help="domain length")
-    sub.add_argument("--Lt", type=float, default=1.0, help="transverse width")
 
 
-def _params_from_flags(args, epsilon=0.01) -> PhaseFieldParams:
+def _params_from_flags(args) -> PhaseFieldParams:
     if not 0.0 < args.beta < math.inf:   # checked before K+- = 2 beta rho+-, to name the flag
         raise ConfigurationError(f"--beta must be positive and finite, got {args.beta}")
     for flag in ("rhoplus", "rhominus"):
@@ -78,7 +77,7 @@ def _params_from_flags(args, epsilon=0.01) -> PhaseFieldParams:
     k_plus, k_minus = relaxation_rates(args.beta, args.rhoplus, args.rhominus)
     reaction = ReactionSpec(s_plus=args.splus, s_minus=args.sminus, k_plus=k_plus,
                             k_minus=k_minus, l_coef=args.lcoef, r_c=args.rc)
-    return PhaseFieldParams(beta=args.beta, epsilon=epsilon,
+    return PhaseFieldParams(beta=args.beta, epsilon=0.01,   # no sharp constant depends on eps
                             potential=DoubleWellPotential.quartic(), reaction=reaction,
                             mobility=MobilitySpec(args.mplus, args.mminus))
 
@@ -145,7 +144,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sharp_ode(args) -> int:
-    sharp = derive_sharp_params(_params_from_flags(args), args.L, args.Lt)
+    sharp = derive_sharp_params(_params_from_flags(args), args.L, 1.0)   # H never reads Lt
     q0 = _front_position(sharp, args.q0, "--q0")
     traj = integrate_q(sharp, q0, args.dt, args.t_end, output_stride=args.stride)
     H = _front_velocity(sharp)   # the trajectory keeps q inside (0, L)
@@ -352,6 +351,7 @@ def build_parser() -> _Parser:
 
     stab = sub.add_parser("stability", help="tabulate transverse-mode amplification")
     _physics_flags(stab)
+    stab.add_argument("--Lt", type=float, default=1.0, help="transverse width")
     stab.add_argument("--q", type=float, help="front position (default: q*)")
     stab.add_argument("--lmax", type=int, default=10)
     stab.add_argument("-d", type=int, default=2, choices=(2, 3))

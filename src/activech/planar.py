@@ -10,6 +10,7 @@ one critical beta in every setting, the root of that affine factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import GAMMA_QUARTIC, SharpParams, _require_count, _step_count
 
-#: Bisection for the stationary front stops once |H| falls below STATIONARY_TOL.
+#: |H| below which a bisection midpoint is taken as the stationary front.
 STATIONARY_TOL = 1e-12
 
 
@@ -116,31 +117,26 @@ def _front_velocity(sharp: SharpParams):
 
 
 def find_stationary(sharp: SharpParams) -> float | None:
-    """Root of H to ``STATIONARY_TOL`` by bisection; ``None`` without a sign change."""
+    """Root of H by bisection on [1e-12 L, L - 1e-12 L]; ``None`` without a sign change.
+
+    Returns the first midpoint at which |H| < ``STATIONARY_TOL``, or the first
+    that equals an end of the bracket, which can then shrink no further.
+    """
     H = _front_velocity(sharp)
     L = sharp.length_L
-    delta = 1e-12 * L
-    lo, hi = delta, L - delta
-    f_lo, f_hi = H(lo), H(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
+    lo, hi = 1e-12 * L, L - 1e-12 * L
+    f_lo = H(lo)
+    if f_lo * H(hi) > 0.0:
         return None
-    best_q, best_f = lo, abs(f_lo)
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         f_mid = H(mid)
-        if abs(f_mid) < best_f:
-            best_q, best_f = mid, abs(f_mid)
-        if abs(f_mid) < STATIONARY_TOL:
+        if abs(f_mid) < STATIONARY_TOL or mid in (lo, hi):
             return mid
         if f_lo * f_mid <= 0.0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
-    return best_q
 
 
 @dataclass(frozen=True)
@@ -156,12 +152,12 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
                 output_stride: int = 1) -> PlanarTrajectory:
     """Integrate dq/dt = H(q) from q(0) = ``q0`` to ``t_end`` with RK4 steps of ``dt``.
 
-    ``t_end`` must be finite and >= 0.  Samples the trajectory every
-    ``output_stride`` steps (the final state is always included).  If a stage
-    point or the new position leaves (0, L), the integration stops and the
-    trajectory is flagged instead of raising.  The step map is autonomous, so
-    once a step returns its input bit for bit every later step does too: the
-    loop stops there and fills the remaining samples with that q.
+    ``t_end`` must be finite and >= 0.  The trajectory is sampled after the
+    steps ``[*range(0, n_steps, output_stride), n_steps]``.  If a stage point
+    or the new position leaves (0, L), the integration stops there and the
+    trajectory, short of its last samples, is flagged instead of raising.  The
+    step map is autonomous, so once a step returns its input bit for bit every
+    later step does too: the loop stops there and pads the samples with that q.
     """
     _require_count(output_stride, "output_stride", 1)
     L = sharp.length_L
@@ -170,12 +166,11 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
     n_steps = _step_count(t_end, dt, "dt")
+    samples = [*range(0, n_steps, output_stride), n_steps]
     H = _front_velocity(sharp)
 
-    times = [0.0]
     qs = [q0]
     q = q0
-    hit = False
     for n in range(1, n_steps + 1):
         k1 = H(q)
         q2 = q + 0.5 * dt * k1
@@ -186,20 +181,15 @@ def integrate_q(sharp: SharpParams, q0: float, dt: float, t_end: float,
         k4 = H(q4)
         q_new = q + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (0.0 < q2 < L and 0.0 < q3 < L and 0.0 < q4 < L and 0.0 < q_new < L):
-            hit = True
             break
-        if q_new == q:   # fixed point: samples k >= n on the stride, and n_steps
-            ks = range(-(-n // output_stride) * output_stride, n_steps + 1, output_stride)
-            times.extend(k * dt for k in ks)
-            if not ks or ks[-1] != n_steps:
-                times.append(n_steps * dt)
-            qs.extend([q] * (len(times) - len(qs)))
+        if q_new == q:
+            qs.extend([q] * (len(samples) - len(qs)))
             break
         q = q_new
-        if n % output_stride == 0 or n == n_steps:
-            times.append(n * dt)
+        if n == samples[len(qs)]:
             qs.append(q)
-    return PlanarTrajectory(np.asarray(times), np.asarray(qs), boundary_hit=hit)
+    times = np.asarray(samples[:len(qs)]) * dt
+    return PlanarTrajectory(times, np.asarray(qs), boundary_hit=len(qs) < len(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +266,9 @@ def enumerate_modes(d: int, max_lsq: int) -> list[ModeIndex]:
         raise ConfigurationError(f"spatial dimension must be 2 or 3, got {d}")
     if max_lsq < 0:
         raise ConfigurationError(f"max_lsq must be nonnegative, got {max_lsq}")
-    l_max = int(math.isqrt(max_lsq))
-    modes = []
-    if d == 2:
-        for l2 in range(l_max + 1):
-            if l2 * l2 <= max_lsq:
-                modes.append(ModeIndex.of(l2))
-    else:
-        for l2 in range(l_max + 1):
-            for l3 in range(l_max + 1):
-                if l2 * l2 + l3 * l3 <= max_lsq:
-                    modes.append(ModeIndex.of(l2, l3))
-    modes.sort(key=lambda m: (m.l_sq, m.l_vec))
-    return modes
+    l_range = range(math.isqrt(max_lsq) + 1)
+    return sorted((ModeIndex(l_vec) for l_vec in itertools.product(l_range, repeat=d - 1)
+                   if sum(l * l for l in l_vec) <= max_lsq), key=lambda m: (m.l_sq, m.l_vec))
 
 
 def mode_representatives(modes: list[ModeIndex]) -> list[ModeIndex]:

@@ -6,7 +6,9 @@ Each entry of COMMANDS is a CLI call whose ``--out`` file is stored under its
 key; for a command whose ``--out`` is a directory, FROM_DIR names the one file
 of it that is stored.  ``check.txt`` holds the PASS/FAIL names of ``activech
 check``, without its residuals, which are rounding-level and differ between
-platforms.
+platforms.  DIFFUSE holds the 2D runs, each configured by ``<name>.cfg`` here,
+and the tables stored from the directory it writes; manifests and VTK files
+are not stored.
 ``tests/test_golden.py`` reruns the same calls and compares values, not
 bytes.  Rerun this script only in a change that means to alter these
 results, and say so in CHANGES.md.
@@ -15,6 +17,7 @@ results, and say so in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import shutil
 import sys
@@ -22,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 from activech.cli import main
+from activech.output import read_checkpoint, table_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -44,6 +48,15 @@ COMMANDS = {
 }
 FROM_DIR = {"converge_1d.csv": "convergence.csv", "converge_w1d.csv": "convergence.csv"}
 CHECK = "check.txt"
+#: name -> (command, {stored file: (file of the run, the columns kept or None for all)});
+#: a checkpoint is stored as its phi and mu columns
+DIFFUSE = {
+    # m+ != m-, so the mobility is reassembled every step, and S_I from the r_c quadrature
+    "simulate_2d": ("simulate", {"simulate_2d_diag.csv": ("diag.csv", None),
+                                 "simulate_2d_checkpoint.csv": ("checkpoint.bin", None)}),
+    "modes_2d": ("modes", {"modes_2d.csv": ("modes.csv", None),
+                           "modes_2d_q_h.csv": ("diag.csv", ["t", "q_h"])}),
+}
 
 
 def run_command(name: str, out: Path) -> int:
@@ -56,6 +69,28 @@ def run_command(name: str, out: Path) -> int:
             if code == 0:
                 shutil.copyfile(Path(tmp) / FROM_DIR[name], out)
             return code
+
+
+def _stored_table(path: Path, columns) -> str:
+    """The table stored from the run file ``path``: ``columns`` of a CSV, or a checkpoint."""
+    if path.suffix == ".bin":
+        state = read_checkpoint(path)
+        return table_text(["phi", "mu"], zip(state.phi, state.mu))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [rows[0].index(c) for c in columns] if columns else range(len(rows[0]))
+    return "".join(",".join(row[k] for k in keep) + "\n" for row in rows)
+
+
+def run_diffuse(name: str, out: Path) -> int:
+    """Runs DIFFUSE[name] and writes its stored files into the directory ``out``."""
+    command, stored = DIFFUSE[name]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(GOLDEN / f"{name}.cfg"), "--out", tmp])
+        if code == 0:
+            for file, (source, columns) in stored.items():
+                (out / file).write_text(_stored_table(Path(tmp) / source, columns))
+        return code
 
 
 def check_names() -> tuple[int, str]:
@@ -74,12 +109,17 @@ def regenerate() -> int:
         if run_command(name, GOLDEN / name) != 0:
             print(f"{name}: the command failed", file=sys.stderr)
             return 1
+    for name in DIFFUSE:
+        if run_diffuse(name, GOLDEN) != 0:
+            print(f"{name}: the run failed", file=sys.stderr)
+            return 1
     code, names = check_names()
     if code != 0:
         print("activech check failed; its names are not stored", file=sys.stderr)
         return 1
     (GOLDEN / CHECK).write_text(names)
-    print(f"wrote {len(COMMANDS) + 1} files to {GOLDEN}")
+    n_diffuse = sum(len(stored) for _, stored in DIFFUSE.values())
+    print(f"wrote {len(COMMANDS) + n_diffuse + 1} files to {GOLDEN}")
     return 0
 
 

@@ -321,6 +321,20 @@ def test_fit_growth_rate_rejects_nonfinite(where, bad):
         ac.fit_growth_rate(samples["times"], samples["amplitudes"])
 
 
+@pytest.mark.parametrize("times, amps", [([0.0, 1.0, 2.0], [1.0, 2.0]), ([0.0], [1.0])])
+def test_fit_growth_rate_needs_two_samples_of_equal_length(times, amps):
+    with pytest.raises(ac.ConfigurationError, match="at least two .* of equal length"):
+        ac.fit_growth_rate(times, amps)
+
+
+@pytest.mark.parametrize("amps, window", [
+    ([1e-3, 1e-3, 1e-3, 5e-3], (0, 4)),   # takes off at the last sample only
+    ([0.2, 0.3, 0.4], (0, 2)),            # saturated from the first sample
+])
+def test_growth_window_falls_back_to_the_run_start(amps, window):
+    assert ac.growth_window(0.1 * np.arange(len(amps)), amps, width_Lt=1.0) == window
+
+
 def test_growth_window():
     t = np.linspace(0.0, 3.0, 31)
     amps = 1e-3 * np.exp(2.0 * t)

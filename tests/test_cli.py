@@ -237,7 +237,46 @@ def test_semicolon_in_a_config_file_is_never_a_comment(tmp_path, capsys, edits, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, edits, message", [
+    (["simulate", "--set", "physics.beta"], {},
+     "--set expects section.key=value, got 'physics.beta'"),
+    (["converge"], {}, "[converge] epsilons: required for the converge command"),
+    (["converge"], {"kind = flat_front\nq0 = 0.3": "kind = constant\nvalue = 0",
+                    "[output]": "[converge]\nepsilons = 1/(4*pi)\n\n[output]"},
+     "[initial] kind: converge needs a flat_front initial front"),
+    (["modes"], {}, "modes requires a 2D configuration"),
+], ids=["set-without-equals", "converge-without-epsilons", "converge-without-front",
+        "modes-in-1d"])
+def test_command_preconditions_are_configuration_errors(tmp_path, capsys, argv, edits, message):
+    body = SIM_CFG
+    for old, new in edits.items():
+        body = body.replace(old, new)
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path, body), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 SHARP_FLAGS = ["--beta", "0.1", "--splus", "-1", "--sminus", "1"]
+
+
+def test_sharp_ode_without_a_stationary_front_names_q0(tmp_path, capsys):
+    # S+ = S- = -1 with S_I = 0: H < 0 on all of (0, L)
+    code = main(["sharp-ode", "--beta", "0.1", "--splus", "-1", "--sminus", "-1",
+                 "--t-end", "0.01", "--out", str(tmp_path / "ode.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: no stationary front exists; give --q0 explicitly\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_sharp_ode_takes_no_transverse_width(tmp_path, capsys):
+    # the front ODE does not depend on Lt, so only stability takes --Lt
+    with pytest.raises(SystemExit) as exc:
+        main(["sharp-ode", *SHARP_FLAGS, "--Lt", "2", "--out", str(tmp_path / "ode.csv")])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --Lt 2" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flags", [["--dt", "nan"], ["--t-end", "inf"]])

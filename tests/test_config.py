@@ -250,6 +250,24 @@ def test_typed_fields_accept_their_literals():
     assert cfg.lengths == (2.0,) and cfg.h == 1 / (64 * math.pi)
 
 
+@pytest.mark.parametrize("doc, overrides, message", [
+    (MINIMAL + "[solver]\nx = 1\n", {}, r"^unknown configuration section \[solver\]$"),
+    (MINIMAL, {"beta": "0.2"}, r"^override 'beta' must be 'section.key'$"),
+    (MINIMAL, {"domain.dim": "3"}, r"^\[domain\] dim: must be 1 or 2, got 3$"),
+    (MINIMAL, {"domain.lengths": "1, 2"}, r"^\[domain\] lengths: expected 1 entries"),
+    (MINIMAL, {"domain.dim": "2", "domain.lengths": "1, 2, 3"},
+     r"^\[domain\] lengths: expected 2 entries"),
+])
+def test_sections_overrides_and_domain_rules(doc, overrides, message):
+    with pytest.raises(ac.ConfigurationError, match=message):
+        ac.parse_config(doc, overrides)
+
+
+def test_one_length_serves_both_sides_of_a_2d_domain():
+    cfg = ac.parse_config(MINIMAL, {"domain.dim": "2", "domain.lengths": "2"})
+    assert (cfg.dim, cfg.lengths) == (2, (2.0, 2.0))
+
+
 def test_mesh_size_auto_rule():
     cfg = ac.parse_config(MINIMAL.replace("1/(4*pi)", "1/(16*pi)"))
     assert cfg.mesh_size() == pytest.approx(1 / 128)

@@ -119,6 +119,14 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_bytes(b"garbage!" + bytes(64))
     with pytest.raises(ac.NumericalError):
         read_checkpoint(path)
+    write_checkpoint(path, ac.build_mesh(1, (1.0,), 0.5), 0.0, 0, np.zeros(3), np.zeros(3))
+    whole = path.read_bytes()
+    for raw, message in ((whole[:63], "is truncated"),
+                         (whole[:-8], "holds 5 values, expected 6"),
+                         (whole + bytes(8), "holds 7 values, expected 6")):
+        path.write_bytes(raw)
+        with pytest.raises(ac.NumericalError, match=message):
+            read_checkpoint(path)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def table1_sharp():
                       rho_minus=0.1, l_coef=-1.0)
 
 
+@pytest.fixture(scope="module")
+def wall_bound():
+    # H > 0 everywhere drives the front into the right wall
+    return make_sharp(s_plus=5.0, s_minus=5.0)
+
+
 # ---------------------------------------------------------------------------
 # chemical potentials
 # ---------------------------------------------------------------------------
@@ -168,6 +174,18 @@ def test_find_stationary_absent():
     assert ac.find_stationary(sharp) is None
 
 
+def test_find_stationary_stops_where_the_bracket_can_shrink_no_further():
+    # H is so steep at its root that no float has |H| < STATIONARY_TOL: the
+    # bisection ends on a midpoint next to the other end of its bracket
+    sharp = ac.SharpParams(rho_plus=2.2 * 1.8**2, rho_minus=2.6 * 21.0**2, d_plus=-3.7,
+                           d_minus=2.6, lambda_plus=1.8, lambda_minus=21.0, s_interface=-4.6,
+                           length_L=9.3, width_Lt=1.0)
+    H = planar._front_velocity(sharp)
+    q = ac.find_stationary(sharp)
+    assert abs(H(q)) >= planar.STATIONARY_TOL
+    assert min(H(q) * H(math.nextafter(q, 0.0)), H(q) * H(math.nextafter(q, 9.3))) < 0.0
+
+
 def test_find_stationary_unique_sign_change(table1_sharp):
     q = np.linspace(1e-6, 1.0 - 1e-6, 10_000)
     H = planar._front_velocity(table1_sharp)
@@ -202,10 +220,8 @@ def test_integrate_monotone_to_stationary(symmetric):
     assert traj.q[-1] == pytest.approx(0.5, abs=2e-4)
 
 
-def test_integrate_boundary_hit():
-    # strictly positive H drives the front into the right wall
-    sharp = make_sharp(s_plus=5.0, s_minus=5.0)
-    traj = ac.integrate_q(sharp, 0.9, 1e-2, 10.0)
+def test_integrate_boundary_hit(wall_bound):
+    traj = ac.integrate_q(wall_bound, 0.9, 1e-2, 10.0)
     assert traj.boundary_hit
     assert traj.times[-1] < 10.0
 
@@ -272,6 +288,8 @@ def _integrate_q_reference(sharp, q0, dt, t_end, output_stride=1):
     ("symmetric", 0.3, 1e-3, 50.0, 7),
     ("table1_sharp", 0.3, 1e-3, 0.5, 1),
     ("table1_sharp", 0.3, 1e-3, 0.5, 7),
+    ("wall_bound", 0.9, 1e-2, 10.0, 1),      # leaves (0, 1) in its sixth step
+    ("wall_bound", 0.9, 1e-2, 10.0, 3),
 ])
 def test_integrate_matches_the_full_loop_bit_for_bit(request, fixture, q0, dt, t_end, stride):
     sharp = request.getfixturevalue(fixture)
@@ -488,6 +506,12 @@ def test_enumerate_modes_3d():
 def test_enumerate_modes_trivial():
     modes = ac.enumerate_modes(3, 0)
     assert [m.l_sq for m in modes] == [0]
+
+
+@pytest.mark.parametrize("d, max_lsq", [(1, 4), (4, 4), (2, -1), (3, -1)])
+def test_enumerate_modes_rejects_invalid_input(d, max_lsq):
+    with pytest.raises(ac.ConfigurationError):
+        ac.enumerate_modes(d, max_lsq)
 
 
 def test_mode_representatives():

@@ -117,6 +117,17 @@ def test_init_field_errors():
     with pytest.raises(ac.ConfigurationError):
         ac.init_field(mesh1, "flat_front",
                       {"q0": 0.5, "modes": [1], "amplitudes": [0.1]}, 0.1)
+    for field_mesh, kind, params, message in (
+            (mesh1, "disk", {"center": (0.5, 0.5), "r0": 0.2}, "requires a 2D mesh"),
+            (mesh, "disk", {"center": (0.5, 0.5), "r0": 0.0}, "radius must be positive"),
+            (mesh, "flat_front", {"q0": 0.5, "n_random_modes": -1},
+             "n_random_modes: must be >= 0"),
+            (mesh, "flat_front", {"q0": 0.5, "modes": [1], "amplitudes": [0.1],
+                                  "n_random_modes": 2}, "either explicit modes or n_random_modes"),
+            (mesh, "flat_front", {"q0": 0.5, "modes": [1, 2], "amplitudes": [0.1]},
+             "modes and amplitudes must have equal length")):
+        with pytest.raises(ac.ConfigurationError, match=message):
+            ac.init_field(field_mesh, kind, params, 0.1)
 
 
 def test_front_perturbation_bound():
@@ -486,6 +497,15 @@ def test_nan_right_hand_side_raises_numerical_error(quartic, dim, lengths, backs
     with pytest.raises(ac.NumericalError, match="relative residual nan"):
         op.solve(rhs)
     assert op.counts["backsolve"] == backsolves
+
+
+def test_zero_right_hand_side_returns_zeros_without_factoring(quartic):
+    op = solver.SchurOperator(ac.build_mesh(2, (1.0, 1.0), 1 / 8), make_params(quartic))
+    op.set_mobility(np.ones(op.meshes[0].n_elements))
+    op.assemble(np.full(op.meshes[0].n_nodes, 2.0), op.meshes[0].lumped / 1e-3)
+    x = op.solve(np.zeros(op.meshes[0].n_nodes))
+    assert np.array_equal(x, np.zeros(op.meshes[0].n_nodes))
+    assert op._lu is None and not any(op.counts.values())
 
 
 def _stale_front_operator(quartic):
@@ -961,6 +981,27 @@ def test_run_simulation_rejects_bad_horizon(quartic):
     with pytest.raises(ac.ConfigurationError):
         ac.run_simulation(p, (1, (1.0,), 1 / 32), ("constant", {"value": 0.0}),
                           ac.SolverConfig(), 0.0505)
+
+
+def test_run_simulation_takes_a_built_mesh_and_a_nodal_field(quartic):
+    # the call form of the benchmark's simulation workloads
+    p = make_params(quartic, m_plus=2.0, m_minus=0.5)
+    spec = {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}
+    opts = ac.OutputOptions(stride=2, modes_lmax=3)
+    by_spec = ac.run_simulation(p, (2, (1.0, 1.0), 1 / 32), ("flat_front", spec),
+                                ac.SolverConfig(), 0.005, outputs=opts)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    field = ac.init_field(mesh, "flat_front", spec, p.epsilon)
+    built = ac.run_simulation(p, mesh, field, ac.SolverConfig(), 0.005, outputs=opts)
+    for name in ("times", "mass", "energy", "q_h", "mode_amps"):
+        assert getattr(built, name).tobytes() == getattr(by_spec, name).tobytes(), name
+    assert built.state.phi.values.tobytes() == by_spec.state.phi.values.tobytes()
+    assert built.state.mu.values.tobytes() == by_spec.state.mu.values.tobytes()
+    assert (built.newton_iters, built.max_abs_phi, built.solver_counts) == (
+        by_spec.newton_iters, by_spec.max_abs_phi, by_spec.solver_counts)
+    other = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    with pytest.raises(ac.ConfigurationError, match="initial field lives on a different mesh"):
+        ac.run_simulation(p, other, field, ac.SolverConfig(), 0.005)
 
 
 def test_run_simulation_determinism(quartic):
