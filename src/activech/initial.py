@@ -1,4 +1,9 @@
-"""Initial data: diffuse-interface representations of sharp geometries."""
+"""Initial data: diffuse-interface representations of sharp geometries.
+
+Each geometry is a signed distance d0 > 0 in the + phase, with the field
+tanh(d0 / (eps sqrt 2)): q0 - x1 plus cosine modes for a front, r - |x - c|
+for a disk (r(theta) when perturbed), the largest of these over several disks.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .mesh import NodalField, StructuredMesh
-
-SQRT2 = math.sqrt(2.0)
-
+from .model import SQRT2
 
 REQUIRED = object()
 #: The fields of each initial-condition kind: name -> (type, default), where a
@@ -85,19 +88,22 @@ def front_perturbation_coefficients(n_modes: int, bound: float, seed: int) -> np
 
 
 def init_field(mesh: StructuredMesh, kind: str, params: dict, epsilon: float) -> NodalField:
-    """Nodal interpolation of tanh(d0(x) / (eps sqrt(2))) for the given geometry.
+    """Nodal values of the ``kind`` geometry's field; see the module docstring.
 
-    ``kind`` is a key of :data:`KINDS`, and ``params`` maps names of that
-    kind's fields to values; :func:`resolve_initial` checks them and fills
-    in the defaults.
+    ``kind`` is a key of :data:`KINDS`, and ``params`` maps names of that kind's
+    fields to values; :func:`resolve_initial` checks them and fills in the defaults.
     """
     p = resolve_initial(kind, params)
-    x1 = mesh.coords[:, 0]
-    x2 = mesh.coords[:, 1] if mesh.dim == 2 else None
+    x1, x2 = mesh.coords[:, 0], (mesh.coords[:, 1] if mesh.dim == 2 else None)
 
     if kind == "constant":
         return NodalField(np.full(mesh.n_nodes, p["value"], dtype=float), mesh)
-
+    if kind == "random_spinodal":
+        rng = np.random.default_rng(p["seed"])
+        values = rng.uniform(-p["bound"], p["bound"], size=mesh.n_nodes)
+        # zero mean in the lumped inner product, so the discrete mass vanishes
+        values -= np.dot(mesh.lumped, values) / np.sum(mesh.lumped)
+        return NodalField(values, mesh)
     if kind == "flat_front":
         q0, modes, amplitudes, n = p["q0"], p["modes"], p["amplitudes"], p["n_random_modes"]
         if not (0.0 < q0 < mesh.lengths[0]):
@@ -116,36 +122,18 @@ def init_field(mesh: StructuredMesh, kind: str, params: dict, epsilon: float) ->
         d0 = q0 - x1
         for k, amp in zip(modes, amplitudes):
             d0 = d0 + amp * np.cos(math.pi * k * x2 / mesh.lengths[1])
-        return NodalField(np.tanh(d0 / (epsilon * SQRT2)), mesh)
-
-    if kind == "disk":
-        center, r0 = p["center"], p["r0"]
-        _check_disk(mesh, center, r0)
-        dist = np.hypot(x1 - center[0], x2 - center[1])
-        return NodalField(np.tanh((r0 - dist) / (epsilon * SQRT2)), mesh)
-
-    if kind == "perturbed_disk":
+    elif kind == "perturbed_disk":
         center, r0, amp = p["center"], p["r0"], p["amplitude"]
         _check_disk(mesh, center, r0 + abs(amp))
         dx, dy = x1 - center[0], x2 - center[1]
-        theta = np.arctan2(dy, dx)
-        radius = r0 + amp * np.cos(p["mode"] * theta - p["phase"])
-        dist = np.hypot(dx, dy)
-        return NodalField(np.tanh((radius - dist) / (epsilon * SQRT2)), mesh)
-
-    if kind == "random_spinodal":
-        rng = np.random.default_rng(p["seed"])
-        values = rng.uniform(-p["bound"], p["bound"], size=mesh.n_nodes)
-        # zero mean in the lumped inner product, so the discrete mass vanishes
-        values -= np.dot(mesh.lumped, values) / np.sum(mesh.lumped)
-        return NodalField(values, mesh)
-
-    # three_disks
-    centers, radii = p["centers"], p["radii"]
-    if len(centers) != len(radii) or not len(centers):
-        raise ConfigurationError("centers and radii must be nonempty and equal length")
-    d0 = np.full(mesh.n_nodes, -np.inf)
-    for center, r0 in zip(centers, radii):
-        _check_disk(mesh, center, r0)
-        d0 = np.maximum(d0, r0 - np.hypot(x1 - center[0], x2 - center[1]))
+        radius = r0 + amp * np.cos(p["mode"] * np.arctan2(dy, dx) - p["phase"])
+        d0 = radius - np.hypot(dx, dy)
+    else:   # a disk is the one-disk case of three_disks
+        centers, radii = p.get("centers", [p.get("center")]), p.get("radii", [p.get("r0")])
+        if len(centers) != len(radii) or not len(centers):
+            raise ConfigurationError("centers and radii must be nonempty and equal length")
+        d0 = np.full(mesh.n_nodes, -np.inf)
+        for center, r0 in zip(centers, radii):
+            _check_disk(mesh, center, r0)
+            d0 = np.maximum(d0, r0 - np.hypot(x1 - center[0], x2 - center[1]))
     return NodalField(np.tanh(d0 / (epsilon * SQRT2)), mesh)

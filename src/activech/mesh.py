@@ -7,6 +7,12 @@ Every P1 stiffness matrix on this lattice is a weighted 5-point stencil
 (3-point in 1D): ``stencil_bands`` computes its bands, and ``band_csc``
 turns bands into SciPy's compressed format.  SciPy is imported there, on
 the first matrix, so that building meshes and fields needs NumPy alone.
+
+The maps of the lattice that keep every split diagonal, the transpose
+(x1, x2) -> (x2, x1) of a square and the rotation by 180 degrees, are
+symmetries of the discrete scheme, and so is the 1D mirror.  The mirror
+x1 -> L1 - x1 is not: the lumped masses at the corners (L1, 0) and (0, L2),
+h^2/6, are half those at (0, 0) and (L1, L2), h^2/3.
 """
 
 from __future__ import annotations

@@ -323,7 +323,7 @@ def si_quadrature(spec: ReactionSpec) -> float:
 
 
 def si_closed_form(spec: ReactionSpec, pot: DoubleWellPotential) -> float:
-    """Closed form of the interfacial reaction constant (requires r_c = 1)."""
+    """Closed form of S_I for r_c = 1: the reference that ``si_quadrature`` is checked against."""
     if spec.r_c != 1.0:
         raise ConfigurationError("closed-form S_I is only available for r_c = 1")
     return (spec.k_plus - spec.k_minus) / SQRT2 + GAMMA_QUARTIC * spec.l_coef
@@ -346,8 +346,8 @@ def rho_from_rates(beta: float, k_plus: float, k_minus: float) -> tuple[float, f
 def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -> SharpParams:
     """Compute the sharp-interface constants implied by ``p``.
 
-    Raises ``ConfigurationError`` unless rho+- > 0: every planar formula
-    divides by rho.
+    S_I comes from ``si_quadrature`` for every r_c, r_c = 1 included.  Raises
+    ``ConfigurationError`` unless rho+- > 0: every planar formula divides by rho.
     """
     rho_plus, rho_minus = rho_from_rates(p.beta, p.reaction.k_plus, p.reaction.k_minus)
     if not (rho_plus > 0.0 and rho_minus > 0.0):
@@ -355,8 +355,6 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
             "planar sharp-interface formulas require rho_plus > 0 and rho_minus > 0; "
             f"got rho_plus={rho_plus}, rho_minus={rho_minus}"
         )
-    s_interface = (si_closed_form(p.reaction, p.potential) if p.reaction.r_c == 1.0
-                   else si_quadrature(p.reaction))
     return SharpParams(
         rho_plus=rho_plus,
         rho_minus=rho_minus,
@@ -364,7 +362,7 @@ def derive_sharp_params(p: PhaseFieldParams, length_L: float, width_Lt: float) -
         d_minus=p.reaction.s_minus / rho_minus,
         lambda_plus=math.sqrt(rho_plus / p.mobility.m_plus),
         lambda_minus=math.sqrt(rho_minus / p.mobility.m_minus),
-        s_interface=s_interface,
+        s_interface=si_quadrature(p.reaction),
         length_L=length_L,
         width_Lt=width_Lt,
     )

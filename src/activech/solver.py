@@ -48,9 +48,10 @@ until its contraction rate shows it would miss the budget of 12 back-solves
 after the first.  The condition number of S grows like beta eps tau / h^4,
 so at large tau or fine h a float32 factor cannot converge: when a fresh
 float32 factorization fails or stalls, the operator refactors in float64
-and stays there.  Only a float64 failure is a :class:`NumericalError`;
-within a time step it becomes a :class:`StepFailureError` with the step and
-its residuals.
+and stays there.  That escalation lives in one loop of
+:meth:`SchurOperator.solve`, and ``_factor`` only factors.  Only a float64
+failure is a :class:`NumericalError`; within a time step it becomes a
+:class:`StepFailureError` with the step and its residuals.
 
 A solve starts from x0 = M^-1 rhs and stops at
 ||rhs - S x|| <= max(LINEAR_TOL ||rhs||, NEWTON_TOL/10) (Eisenstat & Walker
@@ -162,17 +163,6 @@ def splu(A, **options):
     return superlu(A, **options)
 
 
-def _members(mesh, params) -> tuple[tuple[StructuredMesh, ...], tuple[PhaseFieldParams, ...]]:
-    """The meshes and parameters of one member, or of equal-length sequences of members."""
-    meshes = (mesh,) if isinstance(mesh, StructuredMesh) else tuple(mesh)
-    params = (params,) if isinstance(params, PhaseFieldParams) else tuple(params)
-    shared = {(q.beta, q.reaction, q.mobility) for q in params}
-    if len(meshes) != len(params) or len(shared) != 1:
-        raise ConfigurationError(
-            "members need one mesh each and must share beta, the reaction and the mobility")
-    return meshes, params
-
-
 def _stack(arrays, offsets) -> np.ndarray:
     """The arrays ``arrays[i] + offsets[i]`` end to end; one array at offset 0 is itself."""
     if len(arrays) == 1 and offsets[0] == 0:
@@ -239,17 +229,22 @@ class SchurOperator:
     :meth:`set_mobility`; afterwards only values are written.
     :meth:`solve` solves with the current S against a reused factorization.
 
-    Several members (``mesh`` and ``params`` as sequences) give the block
-    diagonal of their operators: the CSC arrays stack each member's
-    :class:`_Block`; member i has ``sizes[i]`` nodes ``slices[i]`` from ``starts[i]``.
+    Several members (``mesh`` and ``params`` as sequences, kept as the tuples
+    ``meshes`` and ``params`` that :class:`Stepper` reads) give the block diagonal
+    of their operators: the CSC arrays stack each member's :class:`_Block`;
+    member i has ``sizes[i]`` nodes ``slices[i]`` from ``starts[i]``.
     """
 
     def __init__(self, mesh, params):
-        self.meshes, params = _members(mesh, params)
+        self.meshes = (mesh,) if isinstance(mesh, StructuredMesh) else tuple(mesh)
+        self.params = (params,) if isinstance(params, PhaseFieldParams) else tuple(params)
+        if (len(self.meshes) != len(self.params)
+                or len({(q.beta, q.reaction, q.mobility) for q in self.params}) != 1):
+            raise ConfigurationError(
+                "members need one mesh each and must share beta, the reaction and the mobility")
         ends = list(itertools.accumulate(m.n_nodes for m in self.meshes))
         self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
         self.starts, self.sizes = np.array([0] + ends[:-1]), [m.n_nodes for m in self.meshes]
-        self._params = params
         self.S = None
         self._lu = None        # SuperLU of the current S or of an earlier one
         self._reuse = max(m.dim for m in self.meshes) > 1   # 1D: fresh float64 factors
@@ -271,7 +266,7 @@ class SchurOperator:
         # Km is symmetric, so its CSC arrays are its CSR arrays
         self.Km = sparse.csr_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
         self._km_col = np.repeat(np.arange(n), np.diff(self.Km.indptr))
-        self._c2 = np.repeat([p.beta / p.epsilon for p in self._params],   # per Km entry
+        self._c2 = np.repeat([p.beta / p.epsilon for p in self.params],   # per Km entry
                              np.diff(self._km_parts))
         indptr, indices, s_at = _join([b.s_pattern for b in self._blocks])
         self.S = sparse.csc_matrix((np.zeros(len(indices)), indices, indptr), shape=(n, n))
@@ -289,7 +284,7 @@ class SchurOperator:
         if self.S is None:
             self._build()
         base, at = [], [0, *itertools.accumulate(m.n_elements for m in self.meshes)]
-        for i, (b, p) in enumerate(zip(self._blocks, self._params)):
+        for i, (b, p) in enumerate(zip(self._blocks, self.params)):
             offs = b.k_offsets
             _, km = stencil_bands(b.mesh, coeff[at[i]:at[i + 1]])
             np.take(km, b.km_gather, out=self.Km.data[self._km_parts[i]:self._km_parts[i + 1]])
@@ -311,28 +306,20 @@ class SchurOperator:
         return self.S
 
     def _factor(self):
-        """Sparse LU of S into ``_lu``, in float32 exactly while ``_single`` is set.
+        """Sparse LU into ``_lu``: of S's float32 twin while ``_single`` is set, else of S.
 
-        A float32 failure clears ``_single`` for good; a float64 failure is
-        a :class:`NumericalError`.
+        Only factors: SuperLU's ``RuntimeError`` propagates, and :meth:`solve`
+        escalates to float64 on it or raises.
         """
         self._lu = None
         if self._single:
             np.copyto(self._S32.data, self.S.data)
             self.counts["factor_float32"] += 1
-            try:
-                self._lu = splu(self._S32, permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.01, options={"SymmetricMode": True})
-                return
-            except RuntimeError:
-                self._single = False
-        self.counts["factor_float64"] += 1
-        try:
+            self._lu = splu(self._S32, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+        else:
+            self.counts["factor_float64"] += 1
             self._lu = splu(self.S, permc_spec="MMD_AT_PLUS_A" if self._reuse else "NATURAL")
-        except RuntimeError as exc:
-            raise NumericalError(
-                f"LU factorization of the {self.S.shape[0]}x{self.S.shape[1]} Schur matrix "
-                f"failed: {exc}") from exc
 
     def _gmres(self, r0: np.ndarray, target: float, back_solve, dtype):
         """Correction d to S d = r0, from at most 12 back-solves.
@@ -430,17 +417,23 @@ class SchurOperator:
             x, stalled = refine()
             if stalled is None:
                 return x
-        self._factor()
-        x, stalled = refine()
-        if stalled and self._single:
+        while True:   # a float32 factor that fails or stalls escalates to float64 for good
+            try:
+                self._factor()
+            except RuntimeError as exc:
+                if not self._single:
+                    raise NumericalError(
+                        f"LU factorization of the {S.shape[0]}x{S.shape[1]} Schur matrix "
+                        f"failed: {exc}") from exc
+            else:
+                x, stalled = refine()
+                if stalled is None:
+                    return x
+                if not self._single:
+                    raise NumericalError(
+                        f"linear solver stalled at relative residual {stalled[0]:.3e} "
+                        f"(target {stalled[1]:.1e})")
             self._single = False
-            self._factor()
-            x, stalled = refine()
-        if stalled:
-            raise NumericalError(
-                f"linear solver stalled at relative residual {stalled[0]:.3e} "
-                f"(target {stalled[1]:.1e})")
-        return x
 
 
 class Stepper:
@@ -457,9 +450,8 @@ class Stepper:
     """
 
     def __init__(self, mesh, params, config: SolverConfig):
-        self.meshes, self.params = _members(mesh, params)
-        self.cfg = config
-        self.schur = SchurOperator(self.meshes, self.params)
+        self.cfg, self.schur = config, SchurOperator(mesh, params)
+        self.meshes, self.params = self.schur.meshes, self.schur.params
         self.slices = self.schur.slices
         K = [stiffness_matrix(m) for m in self.meshes]   # each row keeps its entry order
         if len(K) == 1:   # as _stack does: one member's arrays are its own, and eps a scalar

@@ -343,6 +343,8 @@ def test_growth_window():
     assert np.all(amps[start:stop] <= 0.1)
     rate = ac.fit_growth_rate(t[start:stop], amps[start:stop])
     assert rate == pytest.approx(2.0, abs=1e-9)
+    # take-off is the first sample above GROWTH_TAKEOFF = 3 times the first, here 3.5 times
+    assert ac.growth_window(t[:5], [1e-3, 2e-3, 3.5e-3, 5e-3, 8e-3], width_Lt=1.0) == (2, 5)
 
 
 # ---------------------------------------------------------------------------

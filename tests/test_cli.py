@@ -135,6 +135,8 @@ def test_simulate_nonfinite_parameter_exit_code(tmp_path, capsys):
         capsys.readouterr()
         assert main(["simulate", "--config", cfg, "--set", override]) == 1, override
         assert "configuration error" in capsys.readouterr().err, override
+    assert main(["simulate", "--config", cfg, "--set", "discretization.tau=nan"]) == 1
+    assert "configuration error: [discretization] tau" in capsys.readouterr().err
     cfg_2d = write_cfg(tmp_path, SIM_CFG.replace("dim = 1", "dim = 2")
                        .replace("lengths = 1", "lengths = 1, 1"), name="2d.cfg")
     assert main(["simulate", "--config", cfg_2d, "--set", "output.track_line=nan"]) == 1
@@ -365,6 +367,14 @@ def test_stability_marks_mode_two(tmp_path, capsys):
     assert header == "l_sq,gamma_plus,gamma_minus,a_plus,a_minus,factor,beta_crit"
 
 
+def test_stability_prints_beta_crit_for_every_mode_off_the_normalized_setting(capsys):
+    assert main(["stability", "--beta", "0.1", "--splus", "-1", "--sminus", "2", "--mplus", "2",
+                 "--mminus", "0.5", "--rc", "0.7", "--lmax", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    modes = [line for line in lines if line.startswith("l_sq=") and "l_sq=   0 " not in line]
+    assert len(modes) == 3 and all(" beta_crit=" in line for line in modes)
+
+
 def test_converge_command(tmp_path, capsys):
     body = SIM_CFG + """
 [converge]
@@ -434,7 +444,7 @@ def test_si_table_rejects_a_nonfinite_sweep_value(tmp_path, capsys, flag, value)
     assert main(["si-table", f"{flag}={value}", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"configuration error: {flag}: expected comma-separated numbers, got {value!r}" in err
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())   # no table and no temporary file
 
 
 def test_si_table_builds_one_rule_per_r_c(tmp_path, monkeypatch):
@@ -522,7 +532,7 @@ def test_modes_command(tmp_path, capsys):
     assert f"beta_crit={row.beta_crit:.4g} " in out
 
 
-def test_modes_warns_without_takeoff(tmp_path, capsys):
+def test_modes_warns_without_takeoff(tmp_path, capsys, monkeypatch):
     # with modes_lmax = 4 no mode takes off before t_end, so the fit falls
     # back to the whole run
     cfg = write_cfg(tmp_path, MODES_CFG.replace("modes_lmax = 6", "modes_lmax = 4"))
@@ -535,6 +545,15 @@ def test_modes_warns_without_takeoff(tmp_path, capsys):
     assert "not the linear regime" in captured.err
     lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
     assert lines[0] == "t,A0,A1,A2,A3,A4"
+    # a mode that takes off at its last sample only also gets the whole run as its
+    # window, but it did take off, so there is no warning
+    amplitudes = iter([1e-3, 1e-3, 1e-3, 1e-3, 5e-3])
+    monkeypatch.setattr(ac.analysis, "mode_amplitudes",
+                        lambda field, l_max: np.array([0.5, 0.0, next(amplitudes), 0.0, 0.0]))
+    assert main(["modes", "--config", cfg, "--out", str(tmp_path / "late")]) == 0
+    captured = capsys.readouterr()
+    assert "dominant mode l=2;" in captured.out and "(window t=[0, 0.02])" in captured.out
+    assert "take-off" not in captured.err
 
 
 def test_modes_without_a_measurable_front_reports_the_mode_extraction_failure(tmp_path, capsys):

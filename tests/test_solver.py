@@ -238,6 +238,43 @@ def test_resolution_warning(quartic):
         Stepper(mesh, p, ac.SolverConfig())
 
 
+@pytest.mark.parametrize("factor, converges", [(0.2, True), (0.5, False)])
+def test_newton_fails_after_exactly_newton_max_solves(quartic, monkeypatch, factor, converges):
+    # each solve returns (1 - factor) times the Newton update, so the residual falls by
+    # ``factor`` per iteration: from 3.0 to NEWTON_TOL in 14 iterations at 0.2, within
+    # NEWTON_MAX = 20, and in 32 at 0.5, beyond it
+    p = make_params(quartic, epsilon=1 / (8 * math.pi))
+    mesh = ac.build_mesh(1, (1.0,), 1 / 64)
+    stepper = Stepper(mesh, p, ac.SolverConfig())
+    real, solves = stepper.schur.solve, []
+
+    def contracting(rhs):
+        solves.append(1)
+        return (1.0 - factor) * real(rhs)
+
+    monkeypatch.setattr(stepper.schur, "solve", contracting)
+    phi = ac.init_field(mesh, "flat_front", {"q0": 0.3}, p.epsilon).values.copy()
+    mu = stepper.initial_mu(phi)
+    if converges:
+        _, _, report = stepper.step(phi, mu, 1)
+        assert report.histories[0][0] == pytest.approx(3.0, rel=0.02)
+        assert report.iterations == len(solves) == 14
+    else:
+        with pytest.raises(ac.StepFailureError, match=f"within {solver.NEWTON_MAX} iter"):
+            stepper.step(phi, mu, 1)
+        assert len(solves) == solver.NEWTON_MAX
+
+
+@pytest.mark.parametrize("scale, warns", [(1.0, False), (1.0 - 1e-9, True)])
+def test_resolution_warning_starts_just_above_pi_eps_over_8(quartic, scale, warns):
+    # h = 1/32 is pi eps / 8 at eps = 1/(4 pi), and just above it at a smaller eps
+    p = make_params(quartic, epsilon=scale / (4 * math.pi))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ac.ResolutionWarning)
+        Stepper(ac.build_mesh(1, (1.0,), 1 / 32), p, ac.SolverConfig())
+    assert [w.category for w in caught] == ([ac.ResolutionWarning] if warns else [])
+
+
 def test_auto_mesh_size_is_resolved(quartic):
     eps = 1 / (8 * math.pi)
     p = make_params(quartic, epsilon=eps)
@@ -835,6 +872,33 @@ def test_float32_stall_escalates_to_float64_for_good(quartic, monkeypatch):
     assert set(dtypes[first64:]) == {np.float64}
 
 
+def test_float32_factorization_failure_escalates_to_float64_for_good(quartic, monkeypatch):
+    # SuperLU failing on the float32 twin is handled as a stall of its refinement is
+    real, dtypes = solver.splu, []
+
+    def fails_first_in_float32(A, **options):
+        dtypes.append(A.dtype.type)
+        if dtypes == [np.float32]:
+            raise RuntimeError("Factor is exactly singular")
+        return real(A, **options)
+
+    monkeypatch.setattr(solver, "splu", fails_first_in_float32)
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 8)
+    op = solver.SchurOperator(mesh, make_params(quartic))
+    op.set_mobility(np.ones(mesh.n_elements))
+    rhs = np.ones(mesh.n_nodes)
+    S = op.assemble(np.full(mesh.n_nodes, 2.0), mesh.lumped / 1e-3)
+    x = op.solve(rhs)
+    assert np.linalg.norm(rhs - S @ x) <= solver.NEWTON_TOL / 10
+    assert (op.counts["factor_float32"], op.counts["factor_float64"]) == (1, 1)
+    S = op.assemble(np.full(mesh.n_nodes, -1.0), mesh.lumped / 1e-3)
+    op._lu = None   # force the next solve to factor
+    x = op.solve(rhs)
+    assert np.linalg.norm(rhs - S @ x) <= solver.NEWTON_TOL / 10
+    assert dtypes == [np.float32, np.float64, np.float64]
+    assert (op.counts["factor_float32"], op.counts["factor_float64"]) == (1, 2)
+
+
 def test_step_builds_no_sparse_matrix_on_a_refactorization(quartic, monkeypatch):
     stepper, phi, mu = _front_stepper(quartic, 1 / 32)
     phi, mu, _ = stepper.step(phi, mu, 1)
@@ -879,6 +943,59 @@ def test_mirror_symmetry_resolved_front(quartic):
         phi, mu, _ = stepper.step(phi, mu, n)
     grid = mesh.grid_view(phi)
     assert np.max(np.abs(grid - grid[::-1, :])) < 1e-5
+
+
+def _simulate_2d_physics():
+    """simulate_2d.cfg's parameters: eps = 1/(4 pi), m+ = 2, m- = 1/2, r_c = 0.7."""
+    cfg = ac.parse_config((Path(__file__).parent / "golden" / "simulate_2d.cfg").read_text())
+    assert cfg.params.epsilon == 1 / (4 * math.pi)
+    assert cfg.params.mobility == ac.MobilitySpec(2.0, 0.5)
+    return cfg.params
+
+
+def _run_20_steps(mesh, p, phi):
+    stepper = Stepper(mesh, p, ac.SolverConfig(tau=1e-3))
+    mu = stepper.initial_mu(phi)
+    for n in range(1, 21):
+        phi, mu, _ = stepper.step(phi, mu, n)
+    return phi
+
+
+def _equivariance_tolerance(mesh) -> float:
+    """Two runs' gap at a node after 20 steps under the NEWTON_TOL/10 stopping rule.
+
+    The last solve of a step meets ||rhs - S x|| <= NEWTON_TOL/10, and rhs - S x
+    becomes r1, in which phi_i enters as w_i phi_i / tau; so a step fixes phi_i
+    to within (tau / w_i) NEWTON_TOL/10, and each of two runs to 20 times that.
+    """
+    return 2.0 * 20 * (1e-3 / mesh.lumped.min()) * solver.NEWTON_TOL / 10.0
+
+
+@pytest.mark.parametrize("lattice_map", [lambda grid: grid.T, lambda grid: grid[::-1, ::-1]],
+                         ids=("transpose", "rotation180"))
+def test_2d_run_commutes_with_the_lattice_symmetries(lattice_map):
+    # the maps that keep every split diagonal; simulate_2d.cfg's physics (m+ != m-,
+    # r_c = 0.7) on a random field
+    p = _simulate_2d_physics()
+    mesh = ac.build_mesh(2, (1.0, 1.0), 1 / 32)
+    phi0 = np.random.default_rng(5).uniform(-0.05, 0.05, mesh.n_nodes)
+
+    def mapped(values):
+        return lattice_map(mesh.grid_view(values)).ravel()
+
+    gap = np.max(np.abs(mapped(_run_20_steps(mesh, p, phi0))
+                        - _run_20_steps(mesh, p, mapped(phi0))))
+    assert gap <= _equivariance_tolerance(mesh)
+
+
+def test_1d_run_commutes_with_the_mirror():
+    # x -> L - x maps the 1D mesh, with its end masses h/2, onto itself
+    p = _simulate_2d_physics()
+    mesh = ac.build_mesh(1, (1.0,), 1 / 64)
+    phi0 = np.random.default_rng(5).uniform(-0.05, 0.05, mesh.n_nodes)
+    gap = np.max(np.abs(_run_20_steps(mesh, p, phi0)[::-1]
+                        - _run_20_steps(mesh, p, phi0[::-1])))
+    assert gap <= _equivariance_tolerance(mesh)
 
 
 def test_operator_mirror_equivariance():
