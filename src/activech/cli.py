@@ -197,9 +197,6 @@ def _cmd_converge(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_table(out_dir / "convergence.csv", ["epsilon", "h", "error", "eoc"],
                 ((r.epsilon, r.h, r.error, r.eoc) for r in table.rows))
-    # two columns (epsilon, error) for external log-log plotting
-    write_table(out_dir / "convergence_loglog.dat", [],
-                ((r.epsilon, r.error) for r in table.rows), sep=" ")
     for row in table.rows:
         eoc = "  ---" if row.eoc is None else f"{row.eoc:5.2f}"
         note = f"  [{row.note}]" if row.note else ""
@@ -235,14 +232,14 @@ def _cmd_modes(args) -> int:
     row = amplification(sharp, cfg.params.beta, q_for_rate, ModeIndex.of(dominant))
     amps = np.abs(mode_amps[:, dominant])
     start, stop = growth_window(times, amps, cfg.lengths[1])
+    window = f"t=[{times[start]:g}, {times[stop - 1]:g}]"
     if not np.any(amps > GROWTH_TAKEOFF * amps[0]):   # start 0 is also a fallback after take-off
-        print(f"warning: mode l={dominant} shows no take-off; the fit window is the "
-              f"whole run, not the linear regime", file=sys.stderr)
+        print(f"warning: mode l={dominant} shows no take-off; the fit window {window} "
+              f"is not the linear regime", file=sys.stderr)
     fitted = fit_growth_rate(times[start:stop], amps[start:stop])
     print(f"dominant mode l={dominant}; fitted rate {fitted:.4g} "
           f"vs predicted {row.growth_rate:.4g} at q={q_for_rate:.4g}, "
-          f"beta_crit={row.beta_crit:.4g} "
-          f"(window t=[{times[start]:g}, {times[stop - 1]:g}])")
+          f"beta_crit={row.beta_crit:.4g} (window {window})")
     print(f"wrote {out_dir / 'modes.csv'}")
     return 0
 

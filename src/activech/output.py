@@ -3,8 +3,8 @@
 All writes go through a write-then-rename so partially written files never
 appear under their final names.  Every table (a run's ``diag.csv`` and each
 file the CLI writes) comes from the one writer :func:`write_table`: ','
-separators (' ' for the log-log data), '.' decimals and LF line endings;
-floats carry full precision so identical runs produce byte-identical files.
+separators, '.' decimals and LF line endings; floats carry full precision
+so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ def read_checkpoint(path) -> Checkpoint:
     magic, dim, n1, n2, t, step = _CHECKPOINT_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise NumericalError(f"checkpoint {path} has bad magic {magic!r}")
+    if dim not in (1, 2) or n1 < 1 or (n2 < 1 if dim == 2 else n2 != 0):
+        raise NumericalError(f"checkpoint {path} has a bad lattice: dim={dim}, n1={n1}, n2={n2}")
     n_nodes = (n1 + 1) * ((n2 + 1) if dim == 2 else 1)
     values = np.frombuffer(raw, dtype="<f8", offset=_CHECKPOINT_HEADER.size)
     if values.size != 2 * n_nodes:
@@ -114,18 +116,18 @@ def read_checkpoint(path) -> Checkpoint:
                       phi=values[:n_nodes].copy(), mu=values[n_nodes:].copy())
 
 
-def table_text(header, rows, sep=",") -> str:
-    """A table as text: the header line (omitted when empty), then one line per row.
+def table_text(header, rows) -> str:
+    """A table as text: the header line, then one line per row.
 
     ``None`` becomes an empty cell and every other cell goes through ``_fmt``.
     """
-    lines = [sep.join(header)] if header else []
-    lines.extend(sep.join("" if x is None else _fmt(x) for x in row) for row in rows)
+    lines = [",".join(header)]
+    lines.extend(",".join("" if x is None else _fmt(x) for x in row) for row in rows)
     return "".join(line + "\n" for line in lines)
 
 
-def write_table(path, header, rows, sep=","):
-    _atomic_write_text(Path(path), table_text(header, rows, sep))
+def write_table(path, header, rows):
+    _atomic_write_text(Path(path), table_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +203,7 @@ class RunWriter:
         self._write_manifest()
 
     def finish(self, record):
-        amps = record.mode_amps
-        if amps is None:
-            amps = np.empty((len(record.times), 0))
-        header = ["t", "mass", "energy", "q_h"] + [f"mode_{l}" for l in range(amps.shape[1])]
-        write_table(self.dir / "diag.csv", header, np.column_stack(
-            [record.times, record.mass, record.energy, record.q_h, amps]))
+        write_table(self.dir / "diag.csv", record.columns, record.table)
         state = record.state
         if self.opts.checkpoint and state is not None:
             write_checkpoint(self.dir / "checkpoint.bin", self.mesh, state.t, state.step,

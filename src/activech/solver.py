@@ -94,7 +94,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError, ResolutionWarning, StepFailureError
+from .errors import (ConfigurationError, MeasurementError, NumericalError, ResolutionWarning,
+                     StepFailureError, TrackingError)
 from .mesh import (NodalField, StructuredMesh, band_pattern, build_mesh, element_means,
                    stencil_bands, stiffness_matrix)
 from .model import (PhaseFieldParams, _require_finite, _step_count, ddpsi, dpsi, mobility_m, psi,
@@ -550,19 +551,25 @@ def free_energy(field: NodalField, p: PhaseFieldParams) -> float:
 
 @dataclass
 class RunRecord:
-    """Diagnostic time series and final state of a simulation run."""
+    """A run's recorded series and final state.
 
-    times: np.ndarray
-    mass: np.ndarray
-    energy: np.ndarray
-    q_h: np.ndarray
-    mode_amps: np.ndarray | None
+    ``table`` holds one float64 row per recorded time, in :class:`_Series`' ``columns``.
+    ``times``, ``mass``, ``energy``, ``q_h`` and ``mode_amps`` (or None) are its columns."""
+
+    columns: list[str]
+    table: np.ndarray
     newton_iters: list[int]
     max_abs_phi: float
     warnings: list[str] = field(default_factory=list)
     state: SimState | None = None
     wall_seconds: float = 0.0
     solver_counts: dict[str, int] = field(default_factory=dict)   # the joint SchurOperator.counts
+
+    times = property(lambda self: self.table[:, 0])
+    mass = property(lambda self: self.table[:, 1])
+    energy = property(lambda self: self.table[:, 2])
+    q_h = property(lambda self: self.table[:, 3])
+    mode_amps = property(lambda self: self.table[:, 4:] if len(self.columns) > 4 else None)
 
 
 def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
@@ -581,36 +588,38 @@ def run_simulation(p: PhaseFieldParams, mesh_spec, init_spec, cfg: SolverConfig,
 
 
 class _Series:
-    """One member's diagnostic time series."""
+    """One member's series: ``rows`` holds a row per recorded time, in diag.csv's
+    ``columns``; a failed measurement puts NaN in its own cells and warns once per kind.
+    """
 
     def __init__(self, p: PhaseFieldParams, mesh: StructuredMesh, opts):
         self.p, self.mesh, self.opts = p, mesh, opts
-        self.times, self.mass, self.energy, self.q_h, self.mode_rows = [], [], [], [], []
-        self.newton_iters, self.warnings, self.max_abs_phi, self.prev_q = [], [], 0.0, None
+        n_modes = 0 if opts.modes_lmax is None else opts.modes_lmax + 1
+        self.columns = ["t", "mass", "energy", "q_h", *(f"mode_{l}" for l in range(n_modes))]
+        self.rows, self.newton_iters, self.warnings = [], [], []
+        self.max_abs_phi, self.prev_q = 0.0, None
 
     def record(self, t: float, phi: np.ndarray):
-        from .analysis import mode_amplitudes, track_interface
-        from .errors import MeasurementError, TrackingError
+        from . import analysis   # looked up per call, so a wrapped measurement is the one called
 
         fld, opts = NodalField(phi, self.mesh), self.opts
-        self.times.append(t)
-        self.mass.append(float(np.dot(self.mesh.lumped, phi)))
-        self.energy.append(free_energy(fld, self.p))
-        q_now = math.nan
+        row = [t, float(np.dot(self.mesh.lumped, phi)), free_energy(fld, self.p), math.nan]
         if opts.track_interface:
-            try:
-                q_now = self.prev_q = track_interface(fld, line_x2=opts.track_line,
-                                                      prev=self.prev_q)
-            except TrackingError as exc:
-                _warn_once(self.warnings, f"interface tracking: {exc}")
-        self.q_h.append(q_now)
+            row[3:] = self._measure("interface tracking", 1, analysis.track_interface, fld,
+                                    line_x2=opts.track_line, prev=self.prev_q)
+            self.prev_q = row[3] if math.isfinite(row[3]) else self.prev_q
         if opts.modes_lmax is not None:
-            try:
-                self.mode_rows.append(mode_amplitudes(fld, opts.modes_lmax))
-            except MeasurementError as exc:  # a lost front must not kill the run
-                self.mode_rows.append(np.full(opts.modes_lmax + 1, np.nan))
-                _warn_once(self.warnings, f"mode extraction: {exc}")
+            row += self._measure("mode extraction", opts.modes_lmax + 1,
+                                 analysis.mode_amplitudes, fld, opts.modes_lmax)
+        self.rows.append(row)
         self.max_abs_phi = max(self.max_abs_phi, float(np.max(np.abs(phi))))
+
+    def _measure(self, kind: str, width: int, measure, *args, **kwargs) -> list[float]:
+        try:
+            return np.atleast_1d(measure(*args, **kwargs)).tolist()
+        except (TrackingError, MeasurementError) as exc:   # a lost front must not kill the run
+            _warn_once(self.warnings, f"{kind}: {exc}")
+            return [math.nan] * width
 
 
 def run_members(members, cfg: SolverConfig, t_end: float, outputs=None) -> list[RunRecord]:
@@ -677,9 +686,7 @@ def run_members(members, cfg: SolverConfig, t_end: float, outputs=None) -> list[
         raise
 
     records = [RunRecord(
-        times=np.asarray(run.times), mass=np.asarray(run.mass), energy=np.asarray(run.energy),
-        q_h=np.asarray(run.q_h),
-        mode_amps=np.asarray(run.mode_rows) if run.mode_rows else None,
+        columns=run.columns, table=np.array(run.rows, dtype=np.float64),
         newton_iters=run.newton_iters, max_abs_phi=run.max_abs_phi, warnings=run.warnings,
         state=SimState(phi=NodalField(phi[s], run.mesh), mu=NodalField(mu[s], run.mesh),
                        t=n_steps * cfg.tau, step=n_steps),

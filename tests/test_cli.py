@@ -388,7 +388,7 @@ dim = 1
     csv = (tmp_path / "conv" / "convergence.csv").read_text().splitlines()
     assert csv[0] == "epsilon,h,error,eoc"
     assert len(csv) == 3
-    assert (tmp_path / "conv" / "convergence_loglog.dat").exists()
+    assert [f.name for f in (tmp_path / "conv").iterdir()] == ["convergence.csv"]
 
 
 def test_converge_rejects_dim_3(tmp_path, capsys):
@@ -541,8 +541,9 @@ def test_modes_warns_without_takeoff(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "fitted rate" in captured.out
     dominant = captured.out.split("dominant mode l=")[1].split(";")[0]
+    window = captured.out.split("(window ")[1].split(")")[0]
     assert f"warning: mode l={dominant} " in captured.err
-    assert "not the linear regime" in captured.err
+    assert f"the fit window {window} is not the linear regime" in captured.err
     lines = (tmp_path / "m" / "modes.csv").read_text().splitlines()
     assert lines[0] == "t,A0,A1,A2,A3,A4"
     # a mode that takes off at its last sample only also gets the whole run as its
@@ -554,6 +555,14 @@ def test_modes_warns_without_takeoff(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "dominant mode l=2;" in captured.out and "(window t=[0, 0.02])" in captured.out
     assert "take-off" not in captured.err
+    # a mode that passes GROWTH_SATURATION * Lt = 0.1 without taking off gets the
+    # window (0, 2), not the whole run, and the warning names that window
+    amplitudes = iter([0.05, 0.05, 0.12, 0.12, 0.12])
+    assert main(["modes", "--config", cfg, "--out", str(tmp_path / "saturated")]) == 0
+    captured = capsys.readouterr()
+    assert "(window t=[0, 0.005])" in captured.out
+    assert ("warning: mode l=2 shows no take-off; the fit window t=[0, 0.005] is not the "
+            "linear regime") in captured.err
 
 
 def test_modes_without_a_measurable_front_reports_the_mode_extraction_failure(tmp_path, capsys):

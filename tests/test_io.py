@@ -121,9 +121,13 @@ def test_checkpoint_rejects_corruption(tmp_path):
         read_checkpoint(path)
     write_checkpoint(path, ac.build_mesh(1, (1.0,), 0.5), 0.0, 0, np.zeros(3), np.zeros(3))
     whole = path.read_bytes()
+    dim3 = whole[:8] + (3).to_bytes(4, "little") + whole[12:]   # sized as 1D, as the values are
+    n2_in_1d = whole[:16] + (2).to_bytes(4, "little") + whole[20:]
     for raw, message in ((whole[:63], "is truncated"),
                          (whole[:-8], "holds 5 values, expected 6"),
-                         (whole + bytes(8), "holds 7 values, expected 6")):
+                         (whole + bytes(8), "holds 7 values, expected 6"),
+                         (dim3, "bad lattice: dim=3, n1=2, n2=0"),
+                         (n2_in_1d, "bad lattice: dim=1, n1=2, n2=2")):
         path.write_bytes(raw)
         with pytest.raises(ac.NumericalError, match=message):
             read_checkpoint(path)
@@ -144,26 +148,27 @@ def test_table_text_cells_and_line_endings():
         empty, four, cell = line.split(",")
         assert empty == "" and four == "4"
         assert float(cell) == x
-    assert table_text([], [(0.5, 2.0)], sep=" ") == "0.5 2\n"
 
 
-def diagnostics_csv(tmp_path, times, mass, energy, q_h, mode_amps=None) -> str:
-    record = solver.RunRecord(times=np.asarray(times), mass=np.asarray(mass),
-                              energy=np.asarray(energy), q_h=np.asarray(q_h),
-                              mode_amps=mode_amps, newton_iters=[], max_abs_phi=0.0)
+def diagnostics_csv(tmp_path, rows, modes_lmax=None) -> str:
+    """The diag.csv of a record with ``rows`` and the columns a run with ``modes_lmax`` records."""
     mesh = ac.build_mesh(1, (1.0,), 0.5)
-    RunWriter(OutputOptions(directory=str(tmp_path)), mesh).finish(record)
+    opts = OutputOptions(directory=str(tmp_path), modes_lmax=modes_lmax)
+    columns = solver._Series(None, mesh, opts).columns
+    record = solver.RunRecord(columns=columns,
+                              table=np.array(rows, dtype=float).reshape(-1, len(columns)),
+                              newton_iters=[], max_abs_phi=0.0)
+    RunWriter(opts, mesh).finish(record)
     return (tmp_path / "diag.csv").read_text()
 
 
 def test_empty_diagnostics_header_only(tmp_path):
-    text = diagnostics_csv(tmp_path, [], [], [], [])
+    text = diagnostics_csv(tmp_path, [])
     assert text == "t,mass,energy,q_h\n"
 
 
 def test_diagnostics_with_modes(tmp_path):
-    text = diagnostics_csv(tmp_path, [0.0], [1.0], [2.0], [0.5],
-                           np.array([[0.1, 0.2]]))
+    text = diagnostics_csv(tmp_path, [[0.0, 1.0, 2.0, 0.5, 0.1, 0.2]], modes_lmax=1)
     lines = text.splitlines()
     assert lines[0] == "t,mass,energy,q_h,mode_0,mode_1"
     assert lines[1].split(",")[-1] == "0.20000000000000001"

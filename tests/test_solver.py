@@ -1,5 +1,7 @@
 """Tests for initial data, the time-stepping scheme and the run driver."""
 
+import collections
+import csv
 import math
 import types
 import warnings
@@ -1157,6 +1159,34 @@ def test_run_warns_once_per_kind(disk_run):
     record = disk_run()
     kinds = [message.partition(":")[0] for message in record.warnings]
     assert kinds == ["interface tracking", "mode extraction"]
+
+
+def test_diag_csv_is_the_record_table_bit_for_bit(disk_run, tmp_path):
+    record = disk_run(directory=str(tmp_path), vtk=False, checkpoint=False)
+    assert record.columns == ["t", "mass", "energy", "q_h", *(f"mode_{l}" for l in range(5))]
+    assert np.isnan(record.mode_amps).all() and np.isnan(record.q_h).any()
+    with open(tmp_path / "diag.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == record.columns
+    table = np.array([[float(cell) for cell in row] for row in rows])
+    assert table.tobytes() == record.table.tobytes()
+
+
+def test_each_measurement_runs_once_per_recorded_time(quartic, monkeypatch):
+    # the series look the measurements up by module name, so wrapped ones are the ones called
+    calls = collections.Counter()
+    for module, name in ((solver, "free_energy"), (ac.analysis, "track_interface"),
+                         (ac.analysis, "mode_amplitudes")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cfg = ac.SolverConfig()
+    record = ac.run_simulation(make_params(quartic), (2, (1.0, 1.0), 1 / 16),
+                               ("flat_front", {"q0": 0.5, "modes": [2], "amplitudes": [0.02]}),
+                               cfg, 5 * cfg.tau, outputs=ac.OutputOptions(stride=2, modes_lmax=3))
+    assert record.times.tolist() == [0.0, 2 * cfg.tau, 4 * cfg.tau, 5 * cfg.tau]
+    assert calls == {"free_energy": 4, "track_interface": 4, "mode_amplitudes": 4}
 
 
 def test_mode_extraction_programming_error_propagates(disk_run, monkeypatch):
